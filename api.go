@@ -124,12 +124,12 @@ func Simulate(t *Trace, p Platform, opts SimOptions) (*SimResult, error) {
 // re-timed with a single O(events) forward pass. Retime results are
 // bit-identical to Simulate at a fraction of the cost — it is what powers
 // sweeps, gear searches and the batched serving endpoint. Beyond
-// Retime/RetimeScaled it offers two faster tiers, both still bit-identical:
-// RetimeDelta(state, freqs, scale) re-times only the event cone affected by
-// the ranks whose parameters changed since the previous call on the same
-// DeltaState (the optimizers' hot path), and RetimeBatch(freqSets) scores N
-// gear vectors in one struct-of-arrays walk over the schedule (the backend
-// of the /v1/analyze/batch endpoint).
+// Retime/RetimeScaled it offers two more entry points, both still
+// bit-identical: RetimeDelta(state, freqs, scale) answers a repeat of either
+// of the last two distinct vectors retimed on the same DeltaState from a
+// memo and runs the same full pass otherwise (the optimizers' hot path), and
+// RetimeBatch(freqSets) scores N gear vectors in one struct-of-arrays walk
+// over the schedule (the backend of the /v1/analyze/batch endpoint).
 type TimingSkeleton = dimemas.Skeleton
 
 // BuildTimingSkeleton records the timing skeleton of one trace/platform
@@ -139,10 +139,9 @@ func BuildTimingSkeleton(t *Trace, p Platform, opts SimOptions) (*TimingSkeleton
 	return dimemas.BuildSkeleton(t, p, opts)
 }
 
-// DeltaState carries the checkpoint TimingSkeleton.RetimeDelta amortizes
-// across calls: the previous pass's per-op clocks and collective arrival
-// rows. A zero DeltaState is ready to use (the first call runs one full
-// recording pass); reuse one state per search loop and per goroutine.
+// DeltaState is TimingSkeleton.RetimeDelta's memo: the last two distinct
+// resolved (freqs, scale) vectors and their results. A zero DeltaState is
+// ready to use; reuse one state per search loop and per goroutine.
 type DeltaState = dimemas.DeltaState
 
 // BatchResult holds every candidate's outcome from one

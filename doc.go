@@ -44,18 +44,18 @@
 //	    Drift: repro.WorkloadDrift{Kind: repro.DriftRamp, Magnitude: 0.4, Jitter: 0.02},
 //	})
 //
-// Retiming comes in four tiers, all bit-identical to Simulate:
+// Retiming has two kernels, both bit-identical to Simulate:
 // TimingSkeleton.Retime re-times one gear vector in a full O(events) pass;
-// RetimeScaled folds per-rank load factors in; RetimeDelta re-times only
-// the event cone affected by the ranks whose frequency or load changed
-// since the previous call on the same DeltaState — the hot path of every
+// RetimeScaled folds per-rank load factors in; RetimeDelta runs the same
+// pass but answers a repeat of either of the last two distinct vectors
+// scored on the same DeltaState from a memo — the hot path of every
 // optimizer neighborhood search; and RetimeBatch scores N gear vectors in
 // one struct-of-arrays walk over the schedule (examples/batch shows both,
 // and /v1/analyze/batch serves RetimeBatch over HTTP):
 //
 //	sk, _ := repro.BuildTimingSkeleton(tr, repro.DefaultPlatform(), repro.SimOptions{Beta: 0.5, FMax: repro.FMax})
 //	var st repro.DeltaState
-//	res, _ := sk.RetimeDelta(&st, freqs, nil) // later calls re-time only what changed
+//	res, _ := sk.RetimeDelta(&st, freqs, nil) // a repeated vector costs no pass
 //	batch, _ := sk.RetimeBatch(candidates)    // batch.At(c) is candidate c's SimResult
 //
 // See the examples directory for runnable programs (examples/rebalance for

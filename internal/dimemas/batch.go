@@ -7,10 +7,9 @@ package dimemas
 // branch pattern are amortized across the whole batch and the inner loops
 // are straight-line passes over adjacent floats. Per candidate the
 // arithmetic — operand order, comparison order, everything — is exactly
-// Skeleton.retime's, so every candidate's row is bit-identical to Retime.
+// Skeleton.walk's, so every candidate's row is bit-identical to Retime.
 
 import (
-	"math"
 	"sync"
 
 	"repro/internal/faults"
@@ -85,16 +84,8 @@ func (s *Skeleton) RetimeBatch(freqSets [][]float64) (*BatchResult, error) {
 func (s *Skeleton) RetimeBatchInto(res *BatchResult, freqSets [][]float64) error {
 	n := s.nranks
 	for c, freqs := range freqSets {
-		if freqs == nil {
-			continue
-		}
-		if len(freqs) != n {
-			return stagerr.Errorf(stagerr.Validate, "dimemas: candidate %d: %d frequencies for %d ranks", c, len(freqs), n)
-		}
-		for r, f := range freqs {
-			if f <= 0 || math.IsNaN(f) {
-				return stagerr.Errorf(stagerr.Validate, "dimemas: candidate %d: rank %d has invalid frequency %v", c, r, f)
-			}
+		if err := checkFreqs(freqs, n); err != nil {
+			return stagerr.Errorf(stagerr.Validate, "dimemas: candidate %d: %v", c, err)
 		}
 	}
 	if err := faults.Check(faults.Retime); err != nil {

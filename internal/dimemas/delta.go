@@ -1,943 +1,112 @@
 package dimemas
 
-// Delta retiming: the optimizers in this repo (gear search, power-cap
-// refinement, online rebalancing) score long sequences of gear vectors that
-// differ from the previous candidate in only one or two ranks. A full
-// Retime still walks every op. RetimeDelta instead keeps a checkpoint of the
-// last pass — every op's completion clock plus per-collective arrival rows —
-// and re-times only the affected event cone: it starts cursors at the dirty
-// ranks' first ops, walks forward in schedule order, and propagates through
-// sends/receives/collectives only while values actually change, deactivating
-// a rank the moment its clock re-converges bit-for-bit with the checkpoint.
-// The output is bit-identical to Retime for the same arguments; speed comes
-// purely from skipping ops whose inputs are unchanged, never from
-// approximating.
-//
-// Three regimes bound the worst case:
-//   - no resolved parameter changed → the previous Result is returned as is;
-//   - too many dirty ranks (≥ half) → one full recording pass (≈ Retime plus
-//     checkpoint stores);
-//   - a collective's completion time diverges → every later op depends on it,
-//     so the sparse walk switches to a linear peek over the suffix.
-//
-// The peek is what makes greedy optimizer loops cheap: a diverged candidate's
-// result is computed into scratch without committing the checkpoint (the
-// sparse prefix is rolled back through an undo log), so the checkpoint stays
-// anchored at the base the optimizer probes around. A rejected candidate then
-// costs one pass — not diverge-plus-retime-back — and restoring the base is a
-// no-change hit. A caller that instead keeps building on a peeked candidate
-// is detected by parameter distance and re-anchored with one recording pass.
+// Memoized retiming for optimizer loops: the gear search, the power-cap
+// refinement and the online rebalancer score long candidate sequences that
+// keep returning to a vector they scored a moment ago — a greedy move is
+// probed, rejected, and the base is scored again. RetimeDelta remembers the
+// last two distinct resolved (freqs, scale) vectors with their Results, so
+// such a return costs a comparison; any other call runs the same linear
+// kernel as Retime. The output is bit-identical to RetimeScaled for the same
+// arguments either way.
 
-import (
-	"math"
-	mbits "math/bits"
-
-	"repro/internal/faults"
-	"repro/internal/stagerr"
-	"repro/internal/timemodel"
-)
-
-// deltaIndex holds the reverse lookup tables the sparse walk needs: which
-// ops touch which rank, where the collectives are, which ops post/read each
-// eager arena slot, and — so the walk never searches — per-op static
-// neighbors: the previous op touching each endpoint (for lazy clock reads)
-// and each endpoint's position in its own-op list (for cursor placement).
-// Derived once per skeleton (lazily) and immutable.
-type deltaIndex struct {
-	// ownOps[r] lists, in schedule order, every non-collective op that
-	// reads or writes rank r's clock — including opRecvRend entries where r
-	// is the sender (the fused op moves both clocks).
-	ownOps [][]int32
-	// collOps lists the opColl indices in schedule order.
-	collOps []int32
-	// slotSend/slotRecv map an eager arena slot to the op that posts it and
-	// the op that consumes it; -1 for rendezvous slots (never read via the
-	// arena) and for sends the trace never receives.
-	slotSend []int32
-	slotRecv []int32
-	// prevR[i]/prevS[i] are the schedule index of the last op before i that
-	// touched op i's rank / rendezvous source (collectives touch everyone);
-	// -1 when none. ends[prevR[i]] is therefore rank's clock just before i
-	// without walking its ops.
-	prevR []int32
-	prevS []int32
-	// posR[i]/posS[i] are op i's position within ownOps[rank] / ownOps[src];
-	// -1 where not applicable (collectives; posS for non-rendezvous ops).
-	posR []int32
-	posS []int32
-}
-
-func (s *Skeleton) deltaIndex() *deltaIndex {
-	s.deltaOnce.Do(func() {
-		d := &deltaIndex{
-			ownOps:   make([][]int32, s.nranks),
-			collOps:  make([]int32, 0, s.ncolls),
-			slotSend: make([]int32, s.nslots),
-			slotRecv: make([]int32, s.nslots),
-			prevR:    make([]int32, len(s.ops)),
-			prevS:    make([]int32, len(s.ops)),
-			posR:     make([]int32, len(s.ops)),
-			posS:     make([]int32, len(s.ops)),
-		}
-		for i := range d.slotSend {
-			d.slotSend[i] = -1
-			d.slotRecv[i] = -1
-		}
-		counts := make([]int32, s.nranks)
-		for i := range s.ops {
-			op := &s.ops[i]
-			switch op.kind {
-			case opColl:
-			case opRecvRend:
-				counts[op.rank]++
-				if op.src != op.rank {
-					counts[op.src]++
-				}
-			default:
-				counts[op.rank]++
-			}
-		}
-		for r := range d.ownOps {
-			d.ownOps[r] = make([]int32, 0, counts[r])
-		}
-		lastTouch := make([]int32, s.nranks)
-		for r := range lastTouch {
-			lastTouch[r] = -1
-		}
-		for i := range s.ops {
-			op := &s.ops[i]
-			d.prevR[i] = -1
-			d.prevS[i] = -1
-			d.posR[i] = -1
-			d.posS[i] = -1
-			switch op.kind {
-			case opColl:
-				d.collOps = append(d.collOps, int32(i))
-				for r := range lastTouch {
-					lastTouch[r] = int32(i)
-				}
-				continue
-			case opRecvRend:
-				d.prevR[i] = lastTouch[op.rank]
-				d.prevS[i] = lastTouch[op.src]
-				d.posR[i] = int32(len(d.ownOps[op.rank]))
-				d.ownOps[op.rank] = append(d.ownOps[op.rank], int32(i))
-				// A self-rendezvous must appear once, or its cursor would
-				// retire the op twice; both position tables then point at
-				// the single entry.
-				if op.src != op.rank {
-					d.posS[i] = int32(len(d.ownOps[op.src]))
-					d.ownOps[op.src] = append(d.ownOps[op.src], int32(i))
-					lastTouch[op.src] = int32(i)
-				} else {
-					d.posS[i] = d.posR[i]
-				}
-			case opSendEager:
-				d.slotSend[op.arg] = int32(i)
-				d.prevR[i] = lastTouch[op.rank]
-				d.posR[i] = int32(len(d.ownOps[op.rank]))
-				d.ownOps[op.rank] = append(d.ownOps[op.rank], int32(i))
-			case opRecvEager:
-				d.slotRecv[op.arg] = int32(i)
-				d.prevR[i] = lastTouch[op.rank]
-				d.posR[i] = int32(len(d.ownOps[op.rank]))
-				d.ownOps[op.rank] = append(d.ownOps[op.rank], int32(i))
-			default:
-				d.prevR[i] = lastTouch[op.rank]
-				d.posR[i] = int32(len(d.ownOps[op.rank]))
-				d.ownOps[op.rank] = append(d.ownOps[op.rank], int32(i))
-			}
-			lastTouch[op.rank] = int32(i)
-		}
-		s.didx = d
-	})
-	return s.didx
-}
-
-// DeltaState carries the checkpoint RetimeDelta amortizes across calls: the
-// resolved parameters of the last pass, every op's completion clock, the
-// per-collective arrival/compute rows, and the last Result. A zero
-// DeltaState is ready to use; the first call performs one full recording
-// pass. A state binds to the first skeleton it is used with — passing it to
-// a different skeleton resets it (one full pass) and rebinds. Not safe for
-// concurrent use; use one DeltaState per goroutine.
+// DeltaState is RetimeDelta's memo: the last two distinct resolved
+// parameter vectors and their Results. A zero DeltaState is ready to use. A
+// state binds to the skeleton it is used with — passing it to a different
+// skeleton drops both entries and rebinds. Not safe for concurrent use; use
+// one DeltaState per goroutine.
 type DeltaState struct {
-	skel  *Skeleton
-	valid bool
-
-	// Checkpoint of the last completed pass.
-	freqs    []float64 // resolved per rank (nil input → fmax)
-	scale    []float64 // resolved per rank (nil input → 1)
-	sd       []float64 // default-β slowdown per rank for freqs
-	ends     []float64 // per op: completion clock (shared for fused ops)
-	collArr  []float64 // per collective instance × rank: arrival clock
-	collComp []float64 // per collective instance × rank: compute so far
-	collMax  []float64 // per collective instance: max arrival
-	collArg  []int32   // per collective instance: a rank attaining collMax
-	res      Result
-
-	// Scratch reused across passes.
-	clock     []float64
-	comp      []float64
-	pdirty    []bool // rank's resolved frequency or scale changed
-	active    []bool
-	activeLs  []int32  // ranks currently active (unordered)
-	activeAt  []int32  // rank → position in activeLs, -1 when inactive
-	pos       []int32  // rank → next index into ownOps[rank]
-	bits      []uint64 // op-index bitmap: ops queued for (re)evaluation
-	newFreqs  []float64
-	newScale  []float64
-	nsd       []float64 // sd under the candidate params (committed on converge)
-	suffixRun bool      // diagnostic: last pass diverged into a linear peek tail
-	stats     DeltaStats
-	last      *Result // result returned by the last pass (res or peekRes)
-
-	// Peek bookkeeping. A diverged pass does NOT commit: the sparse prefix
-	// is rolled back through the undo logs and the remaining schedule is
-	// walked linearly into the peek scratch, so the checkpoint stays at the
-	// base an optimizer keeps probing around — a rejected candidate costs
-	// one pass instead of diverge-plus-retime-back. peekFreqs/peekScale
-	// remember the peeked parameters so a caller that instead commits the
-	// candidate (keeps building on it) is detected and re-anchored.
-	peekRes   Result
-	peekFreqs []float64
-	peekScale []float64
-	lastPeek  bool
-	pclock    []float64 // peek tail: clocks
-	pcomp     []float64 // peek tail: compute sums
-	pslot     []float64 // peek tail: eager arena
-	undoIdx   []int32   // undo log: ends[] cells written by the sparse prefix
-	undoVal   []float64
-	caIdx     []int32 // undo log: collArr cells
-	caVal     []float64
-	ccIdx     []int32 // undo log: collComp cells
-	ccVal     []float64
-	cmIdx     []int32 // undo log: collMax/collArg entries (parallel arrays)
-	cmVal     []float64
-	cmArg     []int32
+	skel    *Skeleton
+	entries [2]deltaEntry
+	mru     int // index of the most recently used entry
+	stats   DeltaStats
 }
 
-// DeltaStats counts how RetimeDelta passes on one state resolved, for
-// performance diagnosis: a delta-wired search that mostly lands in Record
-// or Suffix is paying full-pass prices and gains little over Retime.
+// deltaEntry is one memoized pass.
+type deltaEntry struct {
+	valid bool
+	freqs []float64 // resolved per rank (nil input → fmax)
+	scale []float64 // resolved per rank (nil input → 1)
+	res   Result
+}
+
+// DeltaStats counts how RetimeDelta calls on one state resolved, for
+// performance diagnosis: NoChange ÷ Passes is the memo hit ratio.
 type DeltaStats struct {
 	// Passes counts successful RetimeDelta calls.
 	Passes uint64
-	// NoChange counts calls whose resolved parameters matched the
-	// checkpoint bit-for-bit (the previous Result was returned directly).
+	// NoChange counts calls whose resolved parameters matched a memo entry
+	// (that entry's Result was returned directly).
 	NoChange uint64
-	// Record counts full recording passes (first call, rebind, Invalidate,
-	// or at least half the ranks dirty).
+	// Record counts calls that ran the retime kernel.
 	Record uint64
-	// Sparse counts sparse walks that completed without a linear suffix.
+	// Sparse is always 0. It counted the sparse cone walks of an earlier
+	// delta retimer and is kept so existing readers of the counters still
+	// compile.
 	Sparse uint64
-	// Suffix counts sparse walks that hit a diverged collective and walked
-	// the remaining schedule linearly into the peek scratch (without
-	// committing the checkpoint).
-	Suffix uint64
-	// SparseOps counts bitmap entries retired by sparse walks — the work a
-	// sparse pass actually did, comparable against the schedule length.
-	SparseOps uint64
 }
 
-// Stats returns the pass-regime counters accumulated by this state.
+// Stats returns the counters accumulated by this state.
 func (st *DeltaState) Stats() DeltaStats { return st.stats }
 
-// Invalidate drops the checkpoint; the next RetimeDelta performs a full
-// recording pass.
-func (st *DeltaState) Invalidate() { st.valid = false }
-
-// Result returns the Result of the last completed RetimeDelta pass, or nil
-// if none has run. Same aliasing rules as RetimeDelta's return value.
-func (st *DeltaState) Result() *Result {
-	if !st.valid {
-		return nil
-	}
-	return st.last
-}
-
-// RetimeDelta re-times the skeleton under (freqs, scale), reusing st's
-// checkpoint to skip every op whose inputs are unchanged since the previous
-// call. The returned Result is bit-identical to
+// RetimeDelta re-times the skeleton under (freqs, scale), returning st's
+// memoized Result when the resolved vectors equal one of the last two
+// distinct vectors it retimed. The returned Result is bit-identical to
 // RetimeScaled(freqs, scale, false) — including Compute, Finish and Time —
 // but is owned by st: it stays valid only until the next call on the same
 // state and must be copied if retained. freqs and scale follow the same
 // semantics and validation as Retime/RetimeScaled (nil freqs = every rank at
-// FMax, nil scale = no scaling); timelines are never recorded. Dirty ranks
-// are detected by comparing the resolved vectors against the checkpoint, so
-// callers just pass the full candidate vector — no dirty set to maintain.
+// FMax, nil scale = no scaling); timelines are never recorded.
 func (s *Skeleton) RetimeDelta(st *DeltaState, freqs, scale []float64) (*Result, error) {
-	n := s.nranks
-	if freqs != nil {
-		if len(freqs) != n {
-			return nil, stagerr.Errorf(stagerr.Validate, "dimemas: %d frequencies for %d ranks", len(freqs), n)
-		}
-		for r, f := range freqs {
-			if f <= 0 || math.IsNaN(f) {
-				return nil, stagerr.Errorf(stagerr.Validate, "dimemas: rank %d has invalid frequency %v", r, f)
-			}
-		}
-	}
-	if scale != nil {
-		if len(scale) != n {
-			return nil, stagerr.Errorf(stagerr.Validate, "dimemas: %d load scales for %d ranks", len(scale), n)
-		}
-		for r, m := range scale {
-			if m < 0 || math.IsNaN(m) || math.IsInf(m, 1) {
-				return nil, stagerr.Errorf(stagerr.Validate, "dimemas: rank %d has invalid load scale %v", r, m)
-			}
-		}
-	}
-	if err := faults.Check(faults.Retime); err != nil {
-		return nil, stagerr.Wrap(stagerr.Retime, err)
+	if err := s.checkVectors(freqs, scale); err != nil {
+		return nil, err
 	}
 	if st.skel != s {
 		st.skel = s
-		st.valid = false
+		st.entries[0].valid = false
+		st.entries[1].valid = false
 	}
-	d := s.deltaIndex()
-
-	st.newFreqs = grow(st.newFreqs, n)
-	st.newScale = grow(st.newScale, n)
-	for r := 0; r < n; r++ {
-		f := s.fmax
-		if freqs != nil {
-			f = freqs[r]
-		}
-		st.newFreqs[r] = f
-		m := 1.0
-		if scale != nil {
-			m = scale[r]
-		}
-		st.newScale[r] = m
-	}
-
 	st.stats.Passes++
-	if !st.valid {
-		st.stats.Record++
-		st.record(s, d)
-		st.valid = true
-		st.last = &st.res
-		return &st.res, nil
-	}
-
-	st.pdirty = grow(st.pdirty, n)
-	ndirty := 0
-	for r := 0; r < n; r++ {
-		// Bitwise-equal parameters produce bitwise-equal results, and ±0
-		// load scales — the only == floats with different bits that
-		// validation admits — yield identical sums, so float equality is a
-		// sound change detector here.
-		dirty := st.newFreqs[r] != st.freqs[r] || st.newScale[r] != st.scale[r]
-		st.pdirty[r] = dirty
-		if dirty {
-			ndirty++
+	for _, k := range [2]int{st.mru, 1 - st.mru} {
+		if e := &st.entries[k]; e.valid && e.matches(s, freqs, scale) {
+			st.mru = k
+			st.stats.NoChange++
+			return &e.res, nil
 		}
 	}
-	if ndirty == 0 {
-		st.stats.NoChange++
-		st.lastPeek = false
-		st.last = &st.res
-		return &st.res, nil
+	st.mru = 1 - st.mru
+	e := &st.entries[st.mru]
+	e.freqs = grow(e.freqs, s.nranks)
+	e.scale = grow(e.scale, s.nranks)
+	for r := range e.freqs {
+		e.freqs[r], e.scale[r] = s.resolved(freqs, scale, r)
 	}
-	if st.lastPeek {
-		// If the candidate is closer to the last peeked parameters than to
-		// the checkpoint, the caller committed the peek and is building on
-		// it: re-anchor the checkpoint there with one recording pass rather
-		// than paying the peek's divergence on every subsequent probe.
-		dp := 0
-		for r := 0; r < n; r++ {
-			if st.newFreqs[r] != st.peekFreqs[r] || st.newScale[r] != st.peekScale[r] {
-				dp++
-			}
-		}
-		if dp < ndirty {
-			st.stats.Record++
-			st.record(s, d)
-			st.last = &st.res
-			return &st.res, nil
-		}
-	}
-	if 2*ndirty >= n {
-		// The cone would cover most of the schedule anyway: one linear
-		// recording pass is cheaper than sparse bookkeeping.
-		st.stats.Record++
-		st.record(s, d)
-		st.last = &st.res
-		return &st.res, nil
-	}
-	st.sparse(s, d, ndirty)
-	if st.suffixRun {
-		st.stats.Suffix++
-		st.last = &st.peekRes
-		return &st.peekRes, nil
-	}
-	st.stats.Sparse++
-	st.last = &st.res
-	return &st.res, nil
+	s.kernel(&e.res, freqs, scale, false)
+	e.valid = true
+	st.stats.Record++
+	return &e.res, nil
 }
 
-// record performs one full recording pass under the pending parameters,
-// refreshing the whole checkpoint. Cost ≈ Retime plus sequential stores.
-func (st *DeltaState) record(s *Skeleton, d *deltaIndex) {
-	n := s.nranks
-	st.freqs = append(st.freqs[:0], st.newFreqs...)
-	st.scale = append(st.scale[:0], st.newScale...)
-	st.sd = grow(st.sd, n)
-	for r := 0; r < n; r++ {
-		st.sd[r] = timemodel.Slowdown(s.beta, s.fmax, st.freqs[r])
+// resolved returns rank r's effective frequency and load scale.
+func (s *Skeleton) resolved(freqs, scale []float64, r int) (f, m float64) {
+	f, m = s.fmax, 1
+	if freqs != nil {
+		f = freqs[r]
 	}
-	st.ends = grow(st.ends, len(s.ops))
-	st.collArr = grow(st.collArr, len(d.collOps)*n)
-	st.collComp = grow(st.collComp, len(d.collOps)*n)
-	st.collMax = grow(st.collMax, len(d.collOps))
-	st.collArg = grow(st.collArg, len(d.collOps))
-	st.clock = resetSlice(st.clock, n)
-	st.comp = resetSlice(st.comp, n)
-	st.suffixRun = false
-	st.lastPeek = false
-	st.runRecord(s, 0)
-	st.finishFull(n)
+	if scale != nil {
+		m = scale[r]
+	}
+	return f, m
 }
 
-// runRecord processes ops[from:] linearly under st.clock/st.comp, writing
-// every checkpoint row it passes. The arithmetic — including evaluation
-// order inside every expression — matches Skeleton.retime exactly; the
-// resolved scale vector multiplies as (f1·scale)·sd, and a 1.0 scale factor
-// is an exact multiplication, so the bits match retime with nil scale too.
-func (st *DeltaState) runRecord(s *Skeleton, from int) {
-	n := s.nranks
-	clock, comp, sd := st.clock, st.comp, st.sd
-	scale, freqs, ends := st.scale, st.freqs, st.ends
-	ov := s.overhead
-	for i := from; i < len(s.ops); i++ {
-		op := &s.ops[i]
-		r := op.rank
-		switch op.kind {
-		case opCompute:
-			dd := op.f1 * scale[r] * sd[r]
-			clock[r] += dd
-			comp[r] += dd
-			ends[i] = clock[r]
-		case opComputeBeta:
-			dd := op.f1 * scale[r] * timemodel.Slowdown(s.betas[op.arg], s.fmax, freqs[r])
-			clock[r] += dd
-			comp[r] += dd
-			ends[i] = clock[r]
-		case opSendEager:
-			end := clock[r] + ov
-			clock[r] = end
-			ends[i] = end
-		case opRecvEager:
-			// The slot value is the posting send's completion clock, which
-			// ends[] already holds — the checkpoint doubles as the arena.
-			end := fmax2(clock[r]+ov, ends[st.skel.didx.slotSend[op.arg]]+op.f1)
-			clock[r] = end
-			ends[i] = end
-		case opRecvRend:
-			sendStart := clock[op.src]
-			end := fmax2(clock[r]+ov, sendStart+ov) + op.f1
-			clock[r] = end
-			clock[op.src] = end
-			ends[i] = end
-		case opColl:
-			ci := int(op.arg)
-			base := ci * n
-			copy(st.collArr[base:base+n], clock)
-			copy(st.collComp[base:base+n], comp)
-			m := clock[0]
-			marg := int32(0)
-			for o := 1; o < n; o++ {
-				if clock[o] > m {
-					m = clock[o]
-					marg = int32(o)
-				}
-			}
-			st.collMax[ci] = m
-			st.collArg[ci] = marg
-			end := m + op.f1
-			for o := 0; o < n; o++ {
-				clock[o] = end
-			}
-			ends[i] = end
+// matches reports whether e was computed under the resolved (freqs, scale).
+// Bitwise-equal parameters produce bitwise-equal results, and ±0 load
+// scales — the only == floats with different bits that validation admits —
+// yield identical sums, so float equality is a sound memo key.
+func (e *deltaEntry) matches(s *Skeleton, freqs, scale []float64) bool {
+	for r := range e.freqs {
+		if f, m := s.resolved(freqs, scale, r); f != e.freqs[r] || m != e.scale[r] {
+			return false
 		}
 	}
-}
-
-// finishFull publishes st.clock/st.comp wholesale (after record or a linear
-// suffix, where both arrays are complete for every rank).
-func (st *DeltaState) finishFull(n int) {
-	st.res.Compute = append(st.res.Compute[:0], st.comp...)
-	st.res.Finish = append(st.res.Finish[:0], st.clock...)
-	st.res.Timeline = nil
-	st.res.Time = 0
-	for r := 0; r < n; r++ {
-		if st.clock[r] > st.res.Time {
-			st.res.Time = st.clock[r]
-		}
-	}
-}
-
-// sparse is the delta walk proper: a bitmap over op indices queues exactly
-// the ops whose inputs may have changed; scanning it word by word retires
-// them in ascending index — schedule — order, activating ranks as
-// divergence reaches them and deactivating non-dirty ranks the moment their
-// clock re-converges. One bit per op collapses every queue role (a rank
-// cursor's next op, a forced eager re-check, the next collective) into a
-// single "re-evaluate this op" flag whose handler reads the current cursor
-// state to decide what, if anything, is left to do — so there are no stale
-// queue entries and pushes/pops are single bit operations.
-func (st *DeltaState) sparse(s *Skeleton, d *deltaIndex, ndirty int) {
-	n := s.nranks
-	// Parameters are not committed yet: the walk computes under the
-	// candidate vectors and a scratch slowdown array, and the checkpoint
-	// adopts them only if the pass converges. Every checkpoint cell the walk
-	// does touch goes through the undo logs so a diverged pass can roll the
-	// prefix back before peeking the suffix.
-	st.nsd = grow(st.nsd, n)
-	copy(st.nsd, st.sd)
-	for r := 0; r < n; r++ {
-		if st.pdirty[r] {
-			st.nsd[r] = timemodel.Slowdown(s.beta, s.fmax, st.newFreqs[r])
-		}
-	}
-	st.undoIdx = st.undoIdx[:0]
-	st.undoVal = st.undoVal[:0]
-	st.caIdx = st.caIdx[:0]
-	st.caVal = st.caVal[:0]
-	st.ccIdx = st.ccIdx[:0]
-	st.ccVal = st.ccVal[:0]
-	st.cmIdx = st.cmIdx[:0]
-	st.cmVal = st.cmVal[:0]
-	st.cmArg = st.cmArg[:0]
-	st.suffixRun = false
-
-	st.active = grow(st.active, n)
-	st.activeAt = grow(st.activeAt, n)
-	st.pos = grow(st.pos, n)
-	st.clock = grow(st.clock, n)
-	st.comp = grow(st.comp, n)
-	st.activeLs = st.activeLs[:0]
-	nw := (len(s.ops) + 63) / 64
-	st.bits = grow(st.bits, nw)
-	words := st.bits
-	for i := range words {
-		words[i] = 0
-	}
-	for r := int32(0); int(r) < n; r++ {
-		st.active[r] = false
-		st.activeAt[r] = -1
-	}
-	setBit := func(i int32) { words[i>>6] |= 1 << uint(i&63) }
-	// Parameter-dirty ranks re-accumulate compute from op zero (their
-	// durations changed), so they activate at the start and never
-	// deactivate; everyone else joins only when divergence reaches them.
-	for r := int32(0); int(r) < n; r++ {
-		if !st.pdirty[r] {
-			continue
-		}
-		st.activeAt[r] = int32(len(st.activeLs))
-		st.activeLs = append(st.activeLs, r)
-		st.active[r] = true
-		st.clock[r] = 0
-		st.comp[r] = 0
-		st.pos[r] = 0
-		if len(d.ownOps[r]) > 0 {
-			setBit(d.ownOps[r][0])
-		}
-	}
-	if len(d.collOps) > 0 {
-		setBit(d.collOps[0])
-	}
-
-	ends, clock, comp, sd := st.ends, st.clock, st.comp, st.nsd
-	scale, freqs := st.newScale, st.newFreqs
-	ov := s.overhead
-	logEnd := func(idx int32, old float64) {
-		st.undoIdx = append(st.undoIdx, idx)
-		st.undoVal = append(st.undoVal, old)
-	}
-
-	deactivate := func(r int32) {
-		at := st.activeAt[r]
-		lastIdx := int32(len(st.activeLs) - 1)
-		moved := st.activeLs[lastIdx]
-		st.activeLs[at] = moved
-		st.activeAt[moved] = at
-		st.activeLs = st.activeLs[:lastIdx]
-		st.activeAt[r] = -1
-		st.active[r] = false
-	}
-	// activateAt marks o active with its cursor at position k in its own-op
-	// list (the entry after the op being retired — static, from posR/posS)
-	// and its clock as of that point (known by the caller: a fused op just
-	// wrote it). An already-active cursor — which never skips an unprocessed
-	// dirty op — is at or past the target and needs no move.
-	activateAt := func(o int32, k int32, clockVal float64) {
-		if st.active[o] {
-			return
-		}
-		st.clock[o] = clockVal
-		st.active[o] = true
-		st.activeAt[o] = int32(len(st.activeLs))
-		st.activeLs = append(st.activeLs, o)
-		st.pos[o] = k
-		if own := d.ownOps[o]; int(k) < len(own) {
-			setBit(own[k])
-		}
-	}
-	// advanceIfAt moves o's cursor past an op it points exactly at
-	// (position k in o's own-op list), queueing its next own op — used for
-	// each side of a fused rendezvous op so a later stale bit finds the
-	// cursor moved on and does nothing.
-	advanceIfAt := func(o int32, k int32) {
-		if st.active[o] && st.pos[o] == k {
-			st.pos[o]++
-			if own := d.ownOps[o]; int(st.pos[o]) < len(own) {
-				setBit(own[st.pos[o]])
-			}
-		}
-	}
-
-scan:
-	for wi := 0; wi < nw; wi++ {
-		for words[wi] != 0 {
-			if len(st.activeLs) == 0 {
-				break scan
-			}
-			b := mbits.TrailingZeros64(words[wi])
-			words[wi] &^= 1 << uint(b)
-			idx := int32(wi<<6 | b)
-			st.stats.SparseOps++
-			op := &s.ops[idx]
-			r := op.rank
-			prevEnd := ends[idx]
-			switch op.kind {
-			case opColl:
-				ci := int(op.arg)
-				if ci+1 < len(d.collOps) {
-					setBit(d.collOps[ci+1])
-				}
-				base := ci * n
-				// Arrival max. When the recorded argmax rank is inactive its
-				// arrival — the previous global max — is unchanged and still
-				// dominates every other inactive arrival, so only the active
-				// clocks need comparing; otherwise scan the inactive rows.
-				var m float64
-				var marg int32
-				if a := st.collArg[ci]; !st.active[a] {
-					m = st.collMax[ci]
-					marg = a
-				} else {
-					m = math.Inf(-1)
-					marg = -1
-					for o := int32(0); int(o) < n; o++ {
-						if !st.active[o] {
-							if v := st.collArr[base+int(o)]; v > m {
-								m = v
-								marg = o
-							}
-						}
-					}
-				}
-				for _, o := range st.activeLs {
-					if v := clock[o]; v > m {
-						m = v
-						marg = o
-					}
-				}
-				end := m + op.f1
-				if end != prevEnd {
-					// Every later op depends on this completion: walk the
-					// suffix linearly into the peek scratch and roll the
-					// prefix back — the checkpoint stays at the base.
-					st.suffixRun = true
-					st.runPeek(s, d, int(idx), ci, end)
-					return
-				}
-				// Converged: refresh the rows that changed (logged so a later
-				// divergence can undo them), release the active clocks, and
-				// let every non-dirty active rank retire.
-				for _, o := range st.activeLs {
-					st.caIdx = append(st.caIdx, int32(base+int(o)))
-					st.caVal = append(st.caVal, st.collArr[base+int(o)])
-					st.collArr[base+int(o)] = clock[o]
-					if st.pdirty[o] {
-						st.ccIdx = append(st.ccIdx, int32(base+int(o)))
-						st.ccVal = append(st.ccVal, st.collComp[base+int(o)])
-						st.collComp[base+int(o)] = comp[o]
-					}
-					clock[o] = end
-				}
-				st.cmIdx = append(st.cmIdx, int32(ci))
-				st.cmVal = append(st.cmVal, st.collMax[ci])
-				st.cmArg = append(st.cmArg, st.collArg[ci])
-				st.collMax[ci] = m
-				st.collArg[ci] = marg
-				for i := len(st.activeLs) - 1; i >= 0; i-- {
-					if o := st.activeLs[i]; !st.pdirty[o] {
-						deactivate(o)
-					}
-				}
-			case opCompute:
-				if !st.active[r] || st.pos[r] != d.posR[idx] {
-					continue // stale bit: the owner retired or moved on
-				}
-				st.pos[r]++
-				if own := d.ownOps[r]; int(st.pos[r]) < len(own) {
-					setBit(own[st.pos[r]])
-				}
-				dd := op.f1 * scale[r] * sd[r]
-				clock[r] += dd
-				comp[r] += dd
-				logEnd(idx, prevEnd)
-				ends[idx] = clock[r]
-				if !st.pdirty[r] && clock[r] == prevEnd {
-					deactivate(r)
-				}
-			case opComputeBeta:
-				if !st.active[r] || st.pos[r] != d.posR[idx] {
-					continue
-				}
-				st.pos[r]++
-				if own := d.ownOps[r]; int(st.pos[r]) < len(own) {
-					setBit(own[st.pos[r]])
-				}
-				dd := op.f1 * scale[r] * timemodel.Slowdown(s.betas[op.arg], s.fmax, freqs[r])
-				clock[r] += dd
-				comp[r] += dd
-				logEnd(idx, prevEnd)
-				ends[idx] = clock[r]
-				if !st.pdirty[r] && clock[r] == prevEnd {
-					deactivate(r)
-				}
-			case opSendEager:
-				if !st.active[r] || st.pos[r] != d.posR[idx] {
-					continue
-				}
-				st.pos[r]++
-				if own := d.ownOps[r]; int(st.pos[r]) < len(own) {
-					setBit(own[st.pos[r]])
-				}
-				end := clock[r] + ov
-				clock[r] = end
-				logEnd(idx, prevEnd)
-				ends[idx] = end
-				if end != prevEnd {
-					// The arena slot changed: queue the matching receive so
-					// it re-evaluates even if its rank is clean by then.
-					if ri := d.slotRecv[op.arg]; ri >= 0 {
-						setBit(ri)
-					}
-				} else if !st.pdirty[r] {
-					deactivate(r)
-				}
-			case opRecvEager:
-				if st.active[r] {
-					if st.pos[r] != d.posR[idx] {
-						continue // already retired earlier this pass
-					}
-					st.pos[r]++
-					if own := d.ownOps[r]; int(st.pos[r]) < len(own) {
-						setBit(own[st.pos[r]])
-					}
-					end := fmax2(clock[r]+ov, ends[d.slotSend[op.arg]]+op.f1)
-					clock[r] = end
-					logEnd(idx, prevEnd)
-					ends[idx] = end
-					if !st.pdirty[r] && end == prevEnd {
-						deactivate(r)
-					}
-					continue
-				}
-				// Forced re-check of an idle receiver (its sender's arena
-				// slot changed): its clock before this op is the end of its
-				// previous touch (static lookup, no walk). Unchanged ends
-				// mean a stale bit — nothing to do.
-				var start float64
-				if pr := d.prevR[idx]; pr >= 0 {
-					start = ends[pr]
-				}
-				end := fmax2(start+ov, ends[d.slotSend[op.arg]]+op.f1)
-				if end != prevEnd {
-					logEnd(idx, prevEnd)
-					ends[idx] = end
-					activateAt(r, d.posR[idx]+1, end)
-				}
-			case opRecvRend:
-				src := op.src
-				// Whichever cursors point here move past it; a re-compute
-				// with both sides idle is a no-op on a stale bit.
-				advanceIfAt(r, d.posR[idx])
-				if src != r {
-					advanceIfAt(src, d.posS[idx])
-				}
-				var cr, cs float64
-				if st.active[r] {
-					cr = clock[r]
-				} else if pr := d.prevR[idx]; pr >= 0 {
-					cr = ends[pr]
-				}
-				if st.active[src] {
-					cs = clock[src]
-				} else if ps := d.prevS[idx]; ps >= 0 {
-					cs = ends[ps]
-				}
-				end := fmax2(cr+ov, cs+ov) + op.f1
-				logEnd(idx, prevEnd)
-				ends[idx] = end
-				if end == prevEnd {
-					if st.active[r] {
-						clock[r] = end
-						if !st.pdirty[r] {
-							deactivate(r)
-						}
-					}
-					if st.active[src] {
-						clock[src] = end
-						if !st.pdirty[src] {
-							deactivate(src)
-						}
-					}
-				} else {
-					// The fused op moved both clocks: both sides are part
-					// of the cone from here on.
-					activateAt(r, d.posR[idx]+1, end)
-					activateAt(src, d.posS[idx]+1, end)
-					clock[r] = end
-					clock[src] = end
-				}
-			}
-		}
-	}
-
-	// Sparse pass completed without a divergent collective: commit the
-	// candidate parameters (the in-place cell writes above stand) and
-	// publish. Only the ranks still active have new finish clocks, and only
-	// parameter-dirty ranks have new compute sums — everyone else's rows are
-	// bit-unchanged.
-	st.freqs = append(st.freqs[:0], st.newFreqs...)
-	st.scale = append(st.scale[:0], st.newScale...)
-	st.sd, st.nsd = st.nsd, st.sd
-	st.lastPeek = false
-	for _, o := range st.activeLs {
-		st.res.Finish[o] = clock[o]
-	}
-	for r := int32(0); int(r) < n; r++ {
-		if st.pdirty[r] {
-			st.res.Compute[r] = comp[r]
-		}
-	}
-	st.res.Timeline = nil
-	st.res.Time = 0
-	for r := 0; r < n; r++ {
-		if st.res.Finish[r] > st.res.Time {
-			st.res.Time = st.res.Finish[r]
-		}
-	}
-}
-
-// runPeek handles a diverged collective (instance ci at schedule index from,
-// new completion end): every later op depends on it, so the suffix is walked
-// linearly — but into scratch, and the sparse prefix is rolled back, leaving
-// the checkpoint bit-identical to the state before this pass. The result goes
-// to st.peekRes. Arithmetic matches runRecord (and therefore retime) exactly.
-//
-// Order matters: the tail must run before the rollback, because eager
-// receives in the tail whose posting send sits in the prefix must see the
-// send's re-timed completion, which the prefix wrote into ends[] in place.
-func (st *DeltaState) runPeek(s *Skeleton, d *deltaIndex, from, ci int, end float64) {
-	n := s.nranks
-	st.pclock = grow(st.pclock, n)
-	st.pcomp = grow(st.pcomp, n)
-	st.pslot = grow(st.pslot, s.nslots)
-	clock, comp, slot := st.pclock, st.pcomp, st.pslot
-	// At a collective every clock equals its completion. Non-dirty ranks'
-	// compute so far equals the (unchanged) checkpoint row; dirty ranks
-	// carry the sums the prefix re-accumulated.
-	base := ci * n
-	for o := 0; o < n; o++ {
-		clock[o] = end
-		if st.pdirty[o] {
-			comp[o] = st.comp[o]
-		} else {
-			comp[o] = st.collComp[base+o]
-		}
-	}
-	sd, scale, freqs := st.nsd, st.newScale, st.newFreqs
-	ends := st.ends
-	ov := s.overhead
-	for i := from + 1; i < len(s.ops); i++ {
-		op := &s.ops[i]
-		r := op.rank
-		switch op.kind {
-		case opCompute:
-			dd := op.f1 * scale[r] * sd[r]
-			clock[r] += dd
-			comp[r] += dd
-		case opComputeBeta:
-			dd := op.f1 * scale[r] * timemodel.Slowdown(s.betas[op.arg], s.fmax, freqs[r])
-			clock[r] += dd
-			comp[r] += dd
-		case opSendEager:
-			e := clock[r] + ov
-			clock[r] = e
-			slot[op.arg] = e
-		case opRecvEager:
-			// A send in the tail posted into the scratch arena; a send in the
-			// prefix (or untouched) reads from the checkpoint, which at this
-			// point still holds the prefix's re-timed values.
-			var sv float64
-			if si := d.slotSend[op.arg]; int(si) > from {
-				sv = slot[op.arg]
-			} else {
-				sv = ends[si]
-			}
-			e := fmax2(clock[r]+ov, sv+op.f1)
-			clock[r] = e
-		case opRecvRend:
-			sendStart := clock[op.src]
-			e := fmax2(clock[r]+ov, sendStart+ov) + op.f1
-			clock[r] = e
-			clock[op.src] = e
-		case opColl:
-			m := clock[0]
-			for o := 1; o < n; o++ {
-				if clock[o] > m {
-					m = clock[o]
-				}
-			}
-			e := m + op.f1
-			for o := 0; o < n; o++ {
-				clock[o] = e
-			}
-		}
-	}
-	// Roll the prefix back: every cell was written once, so order is
-	// irrelevant.
-	for i, idx := range st.undoIdx {
-		st.ends[idx] = st.undoVal[i]
-	}
-	for i, idx := range st.caIdx {
-		st.collArr[idx] = st.caVal[i]
-	}
-	for i, idx := range st.ccIdx {
-		st.collComp[idx] = st.ccVal[i]
-	}
-	for i, c := range st.cmIdx {
-		st.collMax[c] = st.cmVal[i]
-		st.collArg[c] = st.cmArg[i]
-	}
-	st.peekRes.Compute = append(st.peekRes.Compute[:0], comp...)
-	st.peekRes.Finish = append(st.peekRes.Finish[:0], clock...)
-	st.peekRes.Timeline = nil
-	st.peekRes.Time = 0
-	for r := 0; r < n; r++ {
-		if clock[r] > st.peekRes.Time {
-			st.peekRes.Time = clock[r]
-		}
-	}
-	st.peekFreqs = append(st.peekFreqs[:0], st.newFreqs...)
-	st.peekScale = append(st.peekScale[:0], st.newScale...)
-	st.lastPeek = true
+	return true
 }

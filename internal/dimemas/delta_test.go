@@ -2,6 +2,7 @@ package dimemas
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -96,64 +97,77 @@ func TestRetimeDeltaMatchesRetime(t *testing.T) {
 						}
 						mustEqualResults(t, label, got, want)
 					}
+					// A separate generator keeps the walk's draws above as they were.
+					memoRng := rand.New(rand.NewSource(seed*131 + int64(n)))
+					checkMemoScripts(t, fmt.Sprintf("seed=%d n=%d platform=%d beta=%v", seed, n, pi, beta), sk, memoRng)
 				}
 			}
 		}
 	}
 }
 
-// TestRetimeDeltaCoversAllRegimes drives mutation sequences that provably
-// exercise all three delta regimes — sparse walk with converged
-// collectives, sparse walk ending in a linear suffix (a diverged
-// collective), and the many-dirty record fallback — and checks bit-identity
-// in each. Guards against the suite silently only ever testing one path.
-func TestRetimeDeltaCoversAllRegimes(t *testing.T) {
-	p := DefaultPlatform()
-	n := 16
-	tr := randomValidTrace(4242, n, 4, p.EagerLimit)
-	sk, err := BuildSkeleton(tr, p, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+// checkMemoScripts drives scripted vector sequences through a fresh
+// DeltaState: every step must match RetimeScaled bit for bit, and the
+// two-entry memo must answer exactly the steps marked as hits.
+func checkMemoScripts(t *testing.T, label string, sk *Skeleton, rng *rand.Rand) {
+	t.Helper()
+	n := sk.NumRanks()
+	a := randomGearVector(rng, n)
+	b := mutateFreqs(rng, a, 1)
+	b[0] = a[0] + 0.05 // guarantee B != A
+	c := mutateFreqs(rng, b, 1)
+	c[0] = b[0] + 0.05
+	ones := make([]float64, n)
+	fmaxs := make([]float64, n)
+	for i := range ones {
+		ones[i], fmaxs[i] = 1, sk.fmax
 	}
-	rng := rand.New(rand.NewSource(11))
-	var st DeltaState
-	freqs := randomGearVector(rng, n)
-	if _, err := sk.RetimeDelta(&st, freqs, nil); err != nil {
-		t.Fatal(err)
+	plusZero := append([]float64(nil), ones...)
+	minusZero := append([]float64(nil), ones...)
+	plusZero[0], minusZero[0] = 0, math.Copysign(0, -1)
+	type step struct {
+		freqs, scale []float64
+		hit          bool
 	}
-	sawSparse, sawSuffix := false, false
-	for step := 0; step < 300 && !(sawSparse && sawSuffix); step++ {
-		next := mutateFreqs(rng, freqs, 1)
-		want, err := sk.Retime(next, false)
-		if err != nil {
-			t.Fatal(err)
+	scripts := []struct {
+		name  string
+		steps []step
+	}{
+		// The older entry still holds A after B: its Result comes back.
+		{"A B A", []step{{a, nil, false}, {b, nil, false}, {a, nil, true}}},
+		// C evicts A (the least recently used), so A is recomputed.
+		{"A B C A", []step{{a, nil, false}, {b, nil, false}, {c, nil, false}, {a, nil, false}}},
+		// Recently used entries survive: A is touched again before C lands.
+		{"A B A C A", []step{{a, nil, false}, {b, nil, false}, {a, nil, true}, {c, nil, false}, {a, nil, true}}},
+		// nil vectors resolve to FMax / scale 1 and share entries with
+		// their explicit forms.
+		{"nil explicit", []step{{nil, nil, false}, {fmaxs, ones, true}, {a, nil, false}, {a, ones, true}}},
+		// A −0 load scale is the +0 entry: identical sums, identical bits.
+		{"+0 -0", []step{{a, plusZero, false}, {a, minusZero, true}}},
+	}
+	for _, sc := range scripts {
+		name := sc.name
+		var st DeltaState
+		for i, sp := range sc.steps {
+			before := st.Stats()
+			got, err := sk.RetimeDelta(&st, sp.freqs, sp.scale)
+			if err != nil {
+				t.Fatalf("%s %s step %d: RetimeDelta: %v", label, name, i, err)
+			}
+			want, err := sk.RetimeScaled(sp.freqs, sp.scale, false)
+			if err != nil {
+				t.Fatalf("%s %s step %d: RetimeScaled: %v", label, name, i, err)
+			}
+			mustEqualResults(t, fmt.Sprintf("%s %s step %d", label, name, i), got, want)
+			after := st.Stats()
+			if hit := after.NoChange == before.NoChange+1; hit != sp.hit {
+				t.Fatalf("%s %s step %d: memo hit = %v, want %v (stats %+v)", label, name, i, hit, sp.hit, after)
+			}
+			if after.Passes != before.Passes+1 || after.NoChange+after.Record != after.Passes || after.Sparse != 0 {
+				t.Fatalf("%s %s step %d: inconsistent stats %+v", label, name, i, after)
+			}
 		}
-		got, err := sk.RetimeDelta(&st, next, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualResults(t, fmt.Sprintf("step %d", step), got, want)
-		if st.suffixRun {
-			sawSuffix = true
-		} else {
-			sawSparse = true
-		}
-		freqs = next
 	}
-	if !sawSparse || !sawSuffix {
-		t.Fatalf("mutation suite did not exercise both sparse regimes: sparse=%v suffix=%v", sawSparse, sawSuffix)
-	}
-	// Record fallback: redraw every rank at once.
-	all := randomGearVector(rng, n)
-	want, err := sk.Retime(all, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sk.RetimeDelta(&st, all, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualResults(t, "record fallback", got, want)
 }
 
 func TestRetimeDeltaValidationMatchesRetime(t *testing.T) {
@@ -187,7 +201,7 @@ func TestRetimeDeltaValidationMatchesRetime(t *testing.T) {
 			t.Errorf("case %d: delta stage %q != retime stage %q", i, gotStage, wantStage)
 		}
 	}
-	// A rejected call must not corrupt the checkpoint: the next good call
+	// A rejected call must not corrupt the memo: the next good call
 	// still matches a full retime.
 	freqs := []float64{1, 2, 1.5, 0.8}
 	if _, err := sk.RetimeDelta(&st, freqs, nil); err != nil {
@@ -209,7 +223,7 @@ func TestRetimeDeltaValidationMatchesRetime(t *testing.T) {
 }
 
 // TestRetimeDeltaFaultInjection arms the retime fault point and checks the
-// delta path surfaces the stage-tagged fault, leaves the checkpoint intact,
+// delta path surfaces the stage-tagged fault, leaves the memo intact,
 // and recovers bit-identically once the fault clears — the library half of
 // the server chaos coverage.
 func TestRetimeDeltaFaultInjection(t *testing.T) {
@@ -250,6 +264,9 @@ func TestRetimeDeltaFaultInjection(t *testing.T) {
 	mustEqualResults(t, "post-fault", got, want)
 }
 
+// TestDeltaStateRebindAndInvalidate checks that a state moved to another
+// skeleton drops its memo entries: the same vector on the new skeleton, and
+// again on the old one, is retimed rather than answered from the memo.
 func TestDeltaStateRebindAndInvalidate(t *testing.T) {
 	p := DefaultPlatform()
 	rng := rand.New(rand.NewSource(17))
@@ -264,40 +281,27 @@ func TestDeltaStateRebindAndInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st DeltaState
-	if st.Result() != nil {
-		t.Fatal("zero DeltaState should have no result")
-	}
 	freqs := randomGearVector(rng, 4)
-	resA, err := skA.RetimeDelta(&st, freqs, nil)
-	if err != nil {
+	for i, sk := range []*Skeleton{skA, skB, skA} {
+		label := fmt.Sprintf("bind %d", i)
+		want, err := sk.Retime(freqs, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sk.RetimeDelta(&st, freqs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqualResults(t, label, got, want)
+		if s := st.Stats(); s.NoChange != 0 || s.Record != uint64(i+1) {
+			t.Fatalf("%s: a rebound state answered from its memo: %+v", label, s)
+		}
+	}
+	// Bound again, the memo answers the repeat.
+	if _, err := skA.RetimeDelta(&st, freqs, nil); err != nil {
 		t.Fatal(err)
 	}
-	if st.Result() != resA {
-		t.Fatal("Result() should alias the last pass")
+	if s := st.Stats(); s.NoChange != 1 {
+		t.Fatalf("repeat on a bound state missed the memo: %+v", s)
 	}
-	// Rebinding to another skeleton must reset, not mix checkpoints.
-	wantB, err := skB.Retime(freqs, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotB, err := skB.RetimeDelta(&st, freqs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualResults(t, "rebind", gotB, wantB)
-	// Invalidate forces a full pass that still matches.
-	st.Invalidate()
-	if st.Result() != nil {
-		t.Fatal("Result() should be nil after Invalidate")
-	}
-	next := mutateFreqs(rng, freqs, 1)
-	wantB2, err := skB.Retime(next, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotB2, err := skB.RetimeDelta(&st, next, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualResults(t, "post-invalidate", gotB2, wantB2)
 }

@@ -58,15 +58,33 @@ func DefaultOptions() Options {
 }
 
 // validateModel checks the model parameters shared by Simulate and
-// BuildSkeleton. NaN is rejected explicitly: it slips through the range
-// comparisons and would breed NaN clocks, on which the retimer's branch
-// max and math.Max disagree.
+// BuildSkeleton. NaN and +Inf are rejected explicitly: NaN slips through the
+// range comparisons, and either one breeds NaN clocks, on which the
+// retimer's branch max and math.Max disagree.
 func (o *Options) validateModel() error {
-	if o.FMax <= 0 || math.IsNaN(o.FMax) {
-		return stagerr.Errorf(stagerr.Validate, "dimemas: FMax must be positive, got %v", o.FMax)
+	if o.FMax <= 0 || math.IsNaN(o.FMax) || math.IsInf(o.FMax, 1) {
+		return stagerr.Errorf(stagerr.Validate, "dimemas: FMax must be positive and finite, got %v", o.FMax)
 	}
 	if o.Beta < 0 || o.Beta > 1 || math.IsNaN(o.Beta) {
 		return stagerr.Errorf(stagerr.Validate, "dimemas: beta %v outside [0, 1]", o.Beta)
+	}
+	return nil
+}
+
+// checkFreqs is the one per-rank frequency check behind Simulate and every
+// retime tier: freqs must be nil (every rank at FMax) or hold one positive,
+// finite frequency per rank. Callers add their own prefix and stage.
+func checkFreqs(freqs []float64, n int) error {
+	if freqs == nil {
+		return nil
+	}
+	if len(freqs) != n {
+		return fmt.Errorf("%d frequencies for %d ranks", len(freqs), n)
+	}
+	for r, f := range freqs {
+		if f <= 0 || math.IsNaN(f) || math.IsInf(f, 1) {
+			return fmt.Errorf("rank %d has invalid frequency %v", r, f)
+		}
 	}
 	return nil
 }
@@ -302,15 +320,8 @@ func simulate(t *trace.Trace, m *Machine, opts Options) (*Result, error) {
 	if err := opts.validateModel(); err != nil {
 		return nil, err
 	}
-	if opts.Freqs != nil {
-		if len(opts.Freqs) != n {
-			return nil, stagerr.Errorf(stagerr.Validate, "dimemas: %d frequencies for %d ranks", len(opts.Freqs), n)
-		}
-		for r, f := range opts.Freqs {
-			if f <= 0 || math.IsNaN(f) {
-				return nil, stagerr.Errorf(stagerr.Validate, "dimemas: rank %d has invalid frequency %v", r, f)
-			}
-		}
+	if err := checkFreqs(opts.Freqs, n); err != nil {
+		return nil, stagerr.Errorf(stagerr.Validate, "dimemas: %v", err)
 	}
 
 	c := ctxPool.Get().(*simContext)

@@ -47,9 +47,7 @@ const (
 	// opColl retires one whole collective instance. At the final arrival
 	// every rank is parked on this instance (a collective synchronizes all
 	// ranks), so every clock IS its arrival time: one op reduces the max,
-	// adds the cost (f1) and releases everyone. arg is the collective
-	// instance index — unused by the forward retime pass, but it lets the
-	// delta retimer address per-instance checkpoint rows.
+	// adds the cost (f1) and releases everyone.
 	opColl
 )
 
@@ -71,19 +69,11 @@ type skelOp struct {
 type Skeleton struct {
 	nranks   int
 	nslots   int // point-to-point arena size (one slot per send)
-	ncolls   int // collective instances
 	beta     float64
 	fmax     float64
 	overhead float64
 	ops      []skelOp
 	betas    []float64 // β overrides referenced by opComputeBeta
-
-	// Reverse lookup tables for RetimeDelta, derived from ops on first use.
-	// Building them lazily keeps one-shot Retime users (and skeleton
-	// construction) free of the extra scan; sync.Once makes the derivation
-	// safe under concurrent first calls without breaking immutability.
-	deltaOnce sync.Once
-	didx      *deltaIndex
 }
 
 // NumRanks returns the rank count of the skeleton's trace.
@@ -165,7 +155,6 @@ func buildSkeleton(t *trace.Trace, m *Machine, opts Options) (*Skeleton, error) 
 	s := &Skeleton{
 		nranks:   n,
 		nslots:   idx.totalSends,
-		ncolls:   idx.numColls,
 		beta:     opts.Beta,
 		fmax:     opts.FMax,
 		overhead: m.Base.Overhead,
@@ -338,7 +327,7 @@ func (s *Skeleton) buildStep(b *skelBuilder, r int, t *trace.Trace, idx *traceIn
 				// this rank's record matches whichever rank arrives last
 				// under any gear assignment.
 				cost := m.collectiveCost(rec.Coll, rec.Bytes, n)
-				s.ops = append(s.ops, skelOp{kind: opColl, rank: int32(r), f1: cost, arg: ci})
+				s.ops = append(s.ops, skelOp{kind: opColl, rank: int32(r), f1: cost})
 				b.collIdx[r]++
 				b.pc[r]++
 				for o := 0; o < n; o++ {
@@ -404,11 +393,7 @@ func fmax2(a, b float64) float64 {
 // recordTimeline}) for the trace/platform/β/FMax the skeleton was built
 // from. freqs may be nil (every rank at FMax). Safe for concurrent use.
 func (s *Skeleton) Retime(freqs []float64, recordTimeline bool) (*Result, error) {
-	res := &Result{}
-	if err := s.retime(res, freqs, nil, recordTimeline); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return s.RetimeScaled(freqs, nil, recordTimeline)
 }
 
 // RetimeInto is Retime writing into a caller-owned Result, reusing its
@@ -417,7 +402,7 @@ func (s *Skeleton) Retime(freqs []float64, recordTimeline bool) (*Result, error)
 // serving) allocation-free. Timelines are never recorded; res.Timeline is
 // reset to nil.
 func (s *Skeleton) RetimeInto(res *Result, freqs []float64) error {
-	return s.retime(res, freqs, nil, false)
+	return s.RetimeScaledInto(res, freqs, nil)
 }
 
 // RetimeScaled is Retime with every rank's computation durations
@@ -436,30 +421,31 @@ func (s *Skeleton) RetimeInto(res *Result, freqs []float64) error {
 // (internal/rebalance) simulate N drifting iterations off a single
 // skeleton. Safe for concurrent use.
 func (s *Skeleton) RetimeScaled(freqs, scale []float64, recordTimeline bool) (*Result, error) {
-	res := &Result{}
-	if err := s.retime(res, freqs, scale, recordTimeline); err != nil {
+	if err := s.checkVectors(freqs, scale); err != nil {
 		return nil, err
 	}
+	res := &Result{}
+	s.kernel(res, freqs, scale, recordTimeline)
 	return res, nil
 }
 
 // RetimeScaledInto is RetimeScaled writing into a caller-owned Result (no
 // timeline recording), allocation-free in the steady state like RetimeInto.
 func (s *Skeleton) RetimeScaledInto(res *Result, freqs, scale []float64) error {
-	return s.retime(res, freqs, scale, false)
+	if err := s.checkVectors(freqs, scale); err != nil {
+		return err
+	}
+	s.kernel(res, freqs, scale, false)
+	return nil
 }
 
-func (s *Skeleton) retime(res *Result, freqs, scale []float64, recordTimeline bool) error {
+// checkVectors is the argument check every single-vector retime shares:
+// freqs and scale must be nil or one valid entry per rank. It is also the
+// retime stage's fault point.
+func (s *Skeleton) checkVectors(freqs, scale []float64) error {
 	n := s.nranks
-	if freqs != nil {
-		if len(freqs) != n {
-			return stagerr.Errorf(stagerr.Validate, "dimemas: %d frequencies for %d ranks", len(freqs), n)
-		}
-		for r, f := range freqs {
-			if f <= 0 || math.IsNaN(f) {
-				return stagerr.Errorf(stagerr.Validate, "dimemas: rank %d has invalid frequency %v", r, f)
-			}
-		}
+	if err := checkFreqs(freqs, n); err != nil {
+		return stagerr.Errorf(stagerr.Validate, "dimemas: %v", err)
 	}
 	if scale != nil {
 		if len(scale) != n {
@@ -474,7 +460,15 @@ func (s *Skeleton) retime(res *Result, freqs, scale []float64, recordTimeline bo
 	if err := faults.Check(faults.Retime); err != nil {
 		return stagerr.Wrap(stagerr.Retime, err)
 	}
+	return nil
+}
 
+// kernel is the one retime pass behind Retime, RetimeInto, RetimeScaled,
+// RetimeScaledInto and RetimeDelta: it resolves (freqs, scale), walks the
+// schedule and publishes the outcome into res, with segments when
+// recordTimeline is set. Arguments must already be checked.
+func (s *Skeleton) kernel(res *Result, freqs, scale []float64, recordTimeline bool) {
+	n := s.nranks
 	c := retimePool.Get().(*retimeContext)
 	defer retimePool.Put(c)
 	c.clock = resetSlice(c.clock, n)
@@ -495,27 +489,45 @@ func (s *Skeleton) retime(res *Result, freqs, scale []float64, recordTimeline bo
 	}
 	var segs [][]Segment
 	if recordTimeline {
-		segs = make([][]Segment, n)
+		segs = s.timeline(c, scale)
+	} else {
+		s.walk(c, scale, s.ops)
 	}
 
-	clock, comp, slot, sd := c.clock, c.comp, c.slot, c.sd
+	res.Compute = append(res.Compute[:0], c.comp...)
+	res.Finish = append(res.Finish[:0], c.clock...)
+	res.Timeline = segs
+	res.Time = 0
+	for _, t := range c.clock {
+		if t > res.Time {
+			res.Time = t
+		}
+	}
+}
+
+// walk applies the op semantics of ops, a contiguous run of the schedule,
+// to c's clocks. It is the only place the single-vector tiers spell out
+// what each op kind does; the loop holds no function call and no timeline
+// work.
+func (s *Skeleton) walk(c *retimeContext, scale []float64, ops []skelOp) {
+	n := s.nranks
+	clock, comp, slot, sd, freq := c.clock, c.comp, c.slot, c.sd, c.freq
 	ov := s.overhead
-	for i := range s.ops {
-		op := &s.ops[i]
+	for i := range ops {
+		op := &ops[i]
 		r := op.rank
 		switch op.kind {
 		case opCompute:
 			// Scaling multiplies the fmax duration first, then the slowdown
 			// — the exact association Simulate sees on a ScaleCompute'd
-			// trace, which keeps RetimeScaled bit-identical to it.
+			// trace, which keeps RetimeScaled bit-identical to it. A scale
+			// of 1 multiplies exactly, so nil and all-ones scales give the
+			// same bits (RetimeDelta's memo keys rely on it).
 			f1 := op.f1
 			if scale != nil {
 				f1 *= scale[r]
 			}
 			d := f1 * sd[r]
-			if recordTimeline {
-				segs[r] = appendSeg(segs[r], clock[r], clock[r]+d, StateCompute)
-			}
 			clock[r] += d
 			comp[r] += d
 		case opComputeBeta:
@@ -523,37 +535,20 @@ func (s *Skeleton) retime(res *Result, freqs, scale []float64, recordTimeline bo
 			if scale != nil {
 				f1 *= scale[r]
 			}
-			d := f1 * timemodel.Slowdown(s.betas[op.arg], s.fmax, c.freq[r])
-			if recordTimeline {
-				segs[r] = appendSeg(segs[r], clock[r], clock[r]+d, StateCompute)
-			}
+			d := f1 * timemodel.Slowdown(s.betas[op.arg], s.fmax, freq[r])
 			clock[r] += d
 			comp[r] += d
 		case opSendEager:
 			end := clock[r] + ov
 			slot[op.arg] = end
-			if recordTimeline {
-				segs[r] = appendSeg(segs[r], clock[r], end, StateComm)
-			}
 			clock[r] = end
 		case opRecvEager:
-			start := clock[r]
-			end := fmax2(start+ov, slot[op.arg]+op.f1)
-			if recordTimeline {
-				segs[r] = appendSeg(segs[r], start, end, StateComm)
-			}
-			clock[r] = end
+			clock[r] = fmax2(clock[r]+ov, slot[op.arg]+op.f1)
 		case opRecvRend:
 			// The sender has been frozen since its post: clock[src] is its
 			// block start, +overhead its ready time. One op times the post,
 			// the pairing and the sender's resume.
-			sendStart := clock[op.src]
-			start := clock[r]
-			end := fmax2(start+ov, sendStart+ov) + op.f1
-			if recordTimeline {
-				segs[r] = appendSeg(segs[r], start, end, StateComm)
-				segs[op.src] = appendSeg(segs[op.src], sendStart, end, StateComm)
-			}
+			end := fmax2(clock[r]+ov, clock[op.src]+ov) + op.f1
 			clock[r] = end
 			clock[op.src] = end
 		case opColl:
@@ -566,25 +561,46 @@ func (s *Skeleton) retime(res *Result, freqs, scale []float64, recordTimeline bo
 				}
 			}
 			end := m + op.f1
-			if recordTimeline {
-				for o := 0; o < n; o++ {
-					segs[o] = appendSeg(segs[o], clock[o], end, StateComm)
-				}
-			}
 			for o := 0; o < n; o++ {
 				clock[o] = end
 			}
 		}
 	}
+}
 
-	res.Compute = append(res.Compute[:0], comp...)
-	res.Finish = append(res.Finish[:0], clock...)
-	res.Timeline = segs
-	res.Time = 0
-	for r := 0; r < n; r++ {
-		if clock[r] > res.Time {
-			res.Time = clock[r]
+// timeline is the recording mode of kernel: it walks the schedule one op at
+// a time and reads each op's completion back from the clock of the op's
+// rank. An op's interval on a rank starts where that rank's previous op
+// ended (0 before its first), so segment bookkeeping needs no arithmetic of
+// its own and appends exactly the segments Simulate records, in the same
+// per-rank order. Stepping op by op keeps that bookkeeping out of the walk
+// loop the non-recording tiers run: even a nil-guarded per-op store of
+// completions inside the loop slowed the WRF-128 power-cap sweep by ~11%.
+func (s *Skeleton) timeline(c *retimeContext, scale []float64) [][]Segment {
+	segs := make([][]Segment, s.nranks)
+	last := make([]float64, s.nranks) // per rank: completion of its previous op
+	for i := range s.ops {
+		s.walk(c, scale, s.ops[i:i+1])
+		op := &s.ops[i]
+		r := op.rank
+		end := c.clock[r]
+		switch op.kind {
+		case opCompute, opComputeBeta:
+			segs[r] = appendSeg(segs[r], last[r], end, StateCompute)
+		case opRecvRend:
+			// The fused op ends the receive and the frozen sender's block.
+			segs[r] = appendSeg(segs[r], last[r], end, StateComm)
+			segs[op.src] = appendSeg(segs[op.src], last[op.src], end, StateComm)
+			last[op.src] = end
+		case opColl:
+			for o := range segs {
+				segs[o] = appendSeg(segs[o], last[o], end, StateComm)
+				last[o] = end
+			}
+		default: // eager send or receive
+			segs[r] = appendSeg(segs[r], last[r], end, StateComm)
 		}
+		last[r] = end
 	}
-	return nil
+	return segs
 }

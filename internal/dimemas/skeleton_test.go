@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/stagerr"
 	"repro/internal/trace"
 )
 
@@ -340,6 +341,68 @@ func TestBuildSkeletonValidatesOptions(t *testing.T) {
 	bad := Platform{Latency: -1, Bandwidth: 1}
 	if _, err := BuildSkeleton(tr, bad, DefaultOptions()); err == nil {
 		t.Error("invalid platform accepted")
+	}
+}
+
+// TestNonFiniteModelInputsRejected pins that every entry point rejects a
+// non-finite FMax or per-rank frequency with a validate-stage error, instead
+// of replaying it into clocks on which the engines disagree.
+func TestNonFiniteModelInputsRejected(t *testing.T) {
+	p := DefaultPlatform()
+	tr := randomValidTrace(5, 4, 2, p.EagerLimit)
+	sk, err := BuildSkeleton(tr, p, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := math.Inf(1)
+	infFreq := []float64{1, inf, 1, 1}
+	var st DeltaState
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"Simulate FMax=+Inf", func() error {
+			_, err := Simulate(tr, p, Options{Beta: 0.5, FMax: inf})
+			return err
+		}},
+		{"BuildSkeleton FMax=+Inf", func() error {
+			_, err := BuildSkeleton(tr, p, Options{Beta: 0.5, FMax: inf})
+			return err
+		}},
+		{"Simulate FMax=-Inf", func() error {
+			_, err := Simulate(tr, p, Options{Beta: 0.5, FMax: math.Inf(-1)})
+			return err
+		}},
+		{"Simulate freq=+Inf", func() error {
+			_, err := Simulate(tr, p, Options{Beta: 0.5, FMax: 2.3, Freqs: infFreq})
+			return err
+		}},
+		{"Retime freq=+Inf", func() error {
+			_, err := sk.Retime(infFreq, false)
+			return err
+		}},
+		{"Retime freq=NaN", func() error {
+			_, err := sk.Retime([]float64{1, 1, math.NaN(), 1}, true)
+			return err
+		}},
+		{"RetimeBatch freq=+Inf", func() error {
+			_, err := sk.RetimeBatch([][]float64{nil, infFreq})
+			return err
+		}},
+		{"RetimeDelta freq=+Inf", func() error {
+			_, err := sk.RetimeDelta(&st, infFreq, nil)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		err := c.call()
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+			continue
+		}
+		if stage, ok := stagerr.StageOf(err); !ok || stage != stagerr.Validate {
+			t.Errorf("%s: stage = %q, want %q (%v)", c.name, stage, stagerr.Validate, err)
+		}
 	}
 }
 

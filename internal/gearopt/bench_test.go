@@ -44,8 +44,8 @@ func benchSearcher(b *testing.B) (*searcher, []float64) {
 // thousands of times per run. Since the objective now retimes the exact
 // replay (no original-time approximation), this is also the cost of one
 // exact what-if answer per application. Re-evaluating an unchanged vector
-// lands in delta retiming's no-change regime, so this is the steady-state
-// floor; BenchmarkGearoptObjectiveLattice exercises a changing stream.
+// is a delta memo hit, so this is the steady-state floor;
+// BenchmarkGearoptObjectiveLattice exercises a changing stream.
 func BenchmarkGearoptObjective(b *testing.B) {
 	s, freqs := benchSearcher(b)
 	b.ReportAllocs()
@@ -59,8 +59,8 @@ func BenchmarkGearoptObjective(b *testing.B) {
 
 // BenchmarkGearoptObjectiveLattice evaluates the exact lattice the first
 // coordinate-descent round scans off the uniform ladder — consecutive
-// candidates move one gear, the neighborhood shape (and delta-retiming
-// dirty set) the optimizer's inner loop actually produces.
+// candidates move one gear, the neighborhood shape the optimizer's inner
+// loop actually produces.
 func BenchmarkGearoptObjectiveLattice(b *testing.B) {
 	s, freqs := benchSearcher(b)
 	grid := s.cfg.Grid

@@ -62,12 +62,6 @@ type Config struct {
 	// traces share them too. Nil means uncached (skeletons are then built
 	// once per search).
 	Cache *dimemas.ReplayCache
-	// FreshReplays scores every candidate with a full skeleton pass
-	// (Skeleton.RetimeInto) instead of the default delta retiming that
-	// re-times only the ranks whose assigned frequency changed between
-	// consecutive candidates. Results are bit-identical either way (the
-	// golden tests assert it); the flag exists as a diagnostic escape hatch.
-	FreshReplays bool
 	// Ctx optionally bounds the search: it is polled between candidate
 	// evaluations and threaded into the replays, so a cancelled caller
 	// stops paying for the remaining lattice points.
@@ -99,8 +93,7 @@ type appProfile struct {
 	comp       []float64 // per-rank computation time at fmax (shared cache Result — read-only)
 	origEnergy float64
 	skel       *dimemas.Skeleton
-	res        dimemas.Result     // reusable retime output (FreshReplays path)
-	delta      dimemas.DeltaState // incremental retiming state (default path)
+	delta      dimemas.DeltaState // memoized retiming state
 	usage      []power.Usage      // reusable energy-accounting rows
 	freqs      []float64          // reusable per-rank frequency vector
 }
@@ -254,21 +247,13 @@ func (s *searcher) objective(freqs []float64) (float64, error) {
 		for r := range p.freqs {
 			p.freqs[r] = a.Gears[r].Freq
 		}
-		// Neighboring lattice candidates move one gear, so consecutive
-		// assignments differ only on the ranks holding that gear: delta
-		// retiming re-times just their event cone, bit-identical to the
-		// full pass the FreshReplays escape hatch keeps around.
-		res := &p.res
-		if s.cfg.FreshReplays {
-			if err := p.skel.RetimeInto(&p.res, p.freqs); err != nil {
-				return 0, err
-			}
-		} else {
-			r, err := p.skel.RetimeDelta(&p.delta, p.freqs, nil)
-			if err != nil {
-				return 0, err
-			}
-			res = r
+		// Moving one gear along the lattice often leaves an application's
+		// assignment unchanged (no rank lands on that gear), so consecutive
+		// candidates repeat a frequency vector; the delta memo answers
+		// those repeats without a pass.
+		res, err := p.skel.RetimeDelta(&p.delta, p.freqs, nil)
+		if err != nil {
+			return 0, err
 		}
 		for r := range p.usage {
 			ct := res.Compute[r]

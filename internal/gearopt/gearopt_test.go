@@ -110,32 +110,6 @@ func TestSearchEnergyEqualsFullReplayWithSharedCache(t *testing.T) {
 	}
 }
 
-func TestFreshReplaysBitIdentical(t *testing.T) {
-	// The default search scores candidates with delta retiming; the
-	// FreshReplays escape hatch pays a full skeleton pass per candidate.
-	// The two must agree bit-for-bit on every number the search reports.
-	trs := testTraces(t)
-	del, err := Optimize(Config{Traces: trs, NGears: 4, Grid: 0.1, MaxRounds: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := Optimize(Config{Traces: trs, NGears: 4, Grid: 0.1, MaxRounds: 2, FreshReplays: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if del.SearchEnergy != fresh.SearchEnergy || del.Energy != fresh.Energy ||
-		del.UniformEnergy != fresh.UniformEnergy || del.Evaluations != fresh.Evaluations ||
-		del.Rounds != fresh.Rounds {
-		t.Errorf("delta search diverged from FreshReplays:\n delta %+v\n fresh %+v", del, fresh)
-	}
-	dg, fg := del.Set.Gears(), fresh.Set.Gears()
-	for i := range dg {
-		if dg[i].Freq != fg[i].Freq {
-			t.Errorf("gear %d: delta %v != fresh %v", i, dg[i].Freq, fg[i].Freq)
-		}
-	}
-}
-
 func TestOptimizeHonorsContext(t *testing.T) {
 	trs := testTraces(t)
 	ctx, cancel := context.WithCancel(context.Background())

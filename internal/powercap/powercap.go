@@ -282,7 +282,7 @@ type scheduler struct {
 	baseComp []float64   // per rank: computation time at FMax (read-only)
 	skel     *dimemas.Skeleton
 	res      dimemas.Result     // reusable replay output (FreshReplays path)
-	delta    dimemas.DeltaState // incremental retiming state (default path)
+	delta    dimemas.DeltaState // memoized retiming state (default path)
 	cur      *dimemas.Result    // result of the last evaluate call
 	freqs    []float64
 	usage    []power.Usage
@@ -469,9 +469,9 @@ func (s *scheduler) evaluate(idx []int) (time, energy float64, err error) {
 		}
 		s.res = *fresh
 	} else {
-		// The greedy phases move one gear between consecutive evaluations,
-		// so delta retiming re-times just the affected cone — bit-identical
-		// to the full pass (and to the FreshReplays Simulate).
+		// One full retime pass per probe, unless the probe repeats one of
+		// the last two vectors scored (the delta memo answers those) —
+		// bit-identical to the FreshReplays Simulate.
 		r, err := s.skel.RetimeDelta(&s.delta, s.freqs, nil)
 		if err != nil {
 			return 0, 0, err

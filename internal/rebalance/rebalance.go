@@ -424,8 +424,8 @@ type loop struct {
 	capScale []float64 // per rank: capability stretch baked into replays (nil: nominal)
 	pscale   []float64 // per rank: power multipliers (nil: homogeneous)
 	usage    []power.Usage
-	dExec    dimemas.DeltaState // incremental retiming, executed iteration (non-ExactPeaks)
-	dRef     dimemas.DeltaState // incremental retiming, FMax reference
+	dExec    dimemas.DeltaState // memoized retiming, executed iteration (non-ExactPeaks)
+	dRef     dimemas.DeltaState // memoized retiming, FMax reference
 }
 
 // pscaleAt returns rank r's power multiplier for Usage rows (0 — the
@@ -757,10 +757,10 @@ func (l *loop) replay(scale []float64) (exec, ref *dimemas.Result, err error) {
 			return nil, nil, err
 		}
 	} else {
-		// Drift leaves most ranks' factors — and rebalancing most gears —
-		// unchanged between consecutive iterations, so delta retiming skips
-		// the unaffected cone; bit-identical to the RetimeScaled pass the
-		// ExactPeaks branch (which needs timelines) still performs.
+		// Iterations whose (freqs, scale) repeat a recent one are answered
+		// by the delta memo without a pass; bit-identical to the
+		// RetimeScaled pass the ExactPeaks branch (which needs timelines)
+		// still performs.
 		exec, err = l.skel.RetimeDelta(&l.dExec, l.freqs, scale)
 		if err != nil {
 			return nil, nil, err
