@@ -26,8 +26,6 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -41,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/stagerr"
 	"repro/internal/workload"
@@ -142,7 +141,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:      cfg,
-		reg:      newMetrics(),
 		mux:      http.NewServeMux(),
 		backends: make(map[string]*backend, len(cfg.Backends)),
 		ring:     buildRing(nil, cfg.VNodes),
@@ -161,6 +159,7 @@ func New(cfg Config) (*Gateway, error) {
 		g.backends[name] = newBackend(name, u, cfg)
 		g.order = append(g.order, name)
 	}
+	g.reg = newMetrics(g.backends)
 	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
 	g.mux.HandleFunc("GET /readyz", g.handleReadyz)
 	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
@@ -211,7 +210,7 @@ func (g *Gateway) gwError(w http.ResponseWriter, id string, status int, msg stri
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, server.HealthBody{
 		Status:        "ok",
-		UptimeSeconds: g.reg.snap().uptime,
+		UptimeSeconds: time.Since(g.reg.start).Seconds(),
 	})
 }
 
@@ -231,11 +230,7 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	states := make(map[string]string, len(g.backends))
-	for name, b := range g.backends {
-		states[name] = b.stateName()
-	}
-	g.reg.render(w, states)
+	g.reg.Render(w)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -391,33 +386,6 @@ func writeResp(w http.ResponseWriter, resp *bufferedResp) {
 	w.Write(resp.body)
 }
 
-// newRequestID returns a fresh 16-hex-digit random ID (same format the
-// daemon assigns), so a request that enters the fleet through the gateway
-// is traceable across both tiers with one ID.
-func newRequestID() string {
-	var b [8]byte
-	rand.Read(b[:])
-	return hex.EncodeToString(b[:])
-}
-
-// sanitizeRequestID mirrors the daemon's inbound-ID policy: accept only
-// short plain tokens, otherwise assign our own.
-func sanitizeRequestID(id string) string {
-	if len(id) == 0 || len(id) > 64 {
-		return ""
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
-		case c == '-', c == '_', c == '.':
-		default:
-			return ""
-		}
-	}
-	return id
-}
-
 // attemptOut is one backend attempt's outcome.
 type attemptOut struct {
 	b     *backend
@@ -432,10 +400,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	route := r.URL.Path
 	defer func() { g.reg.observe(route, time.Since(start)) }()
 
-	id := sanitizeRequestID(r.Header.Get(server.RequestIDHeader))
-	if id == "" {
-		id = newRequestID()
-	}
+	id := obs.RequestID(r.Header.Get(server.RequestIDHeader))
 	r.Header.Set(server.RequestIDHeader, id)
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
@@ -446,7 +411,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 
 	cands := g.candidates(shardKey(body), 2)
 	if len(cands) == 0 {
-		g.reg.noReady()
+		g.reg.noBackend.Add("", 1)
 		g.gwError(w, id, http.StatusBadGateway, "no ready backends")
 		return
 	}
@@ -455,7 +420,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 		// The shard's backend is saturated. Shedding here (rather than
 		// spilling to the next replica) keeps the key's cache locality
 		// intact and surfaces overload to the client immediately.
-		g.reg.shedOne()
+		g.reg.shed.Add("", 1)
 		w.Header().Set("Retry-After", "1")
 		g.gwError(w, id, http.StatusTooManyRequests,
 			fmt.Sprintf("shard backend at capacity (%d in flight)", cap(primary.sem)))
@@ -467,12 +432,15 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 
 	results := make(chan attemptOut, 2)
 	launch := func(b *backend, hedge bool) {
-		g.reg.attempt(b.name, hedge)
+		g.reg.requests.Add(b.name, 1)
+		if hedge {
+			g.reg.hedges.Add(b.name, 1)
+		}
 		go func() {
 			defer b.release()
 			resp, err := g.forward(ctx, b, r.Method, r.URL.RequestURI(), r.Header, body)
 			if err != nil {
-				g.reg.attemptError(b.name)
+				g.reg.errors.Add(b.name, 1)
 			}
 			results <- attemptOut{b: b, hedge: hedge, resp: resp, err: err}
 		}()
@@ -509,7 +477,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 				// guards against dead/slow backends, never rewrites what
 				// a live backend said.
 				if out.hedge {
-					g.reg.hedgeWin(out.b.name)
+					g.reg.hedgeWins.Add(out.b.name, 1)
 				}
 				writeResp(w, out.resp)
 				return
@@ -529,7 +497,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 			tryHedge()
 		case <-ctx.Done():
 			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				g.reg.timeoutOne()
+				g.reg.timeouts.Add("", 1)
 				g.gwError(w, id, http.StatusGatewayTimeout, "no backend response in time")
 			} else {
 				g.gwError(w, id, 499, "client closed request")

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -101,15 +102,14 @@ func TestConsistentRouting(t *testing.T) {
 			t.Fatalf("request %d = %d: %s", i, rec.Code, rec.Body.String())
 		}
 	}
-	snap := g.reg.snap()
 	key := keyOf(wireTraceRef{App: "IS-32", Iterations: 3, Quick: true})
 	owner := g.currentRing().owner(key)
-	if got := snap.backends[owner].requests; got != 5 {
-		t.Fatalf("owner %s served %d of 5 requests for its key", owner, got)
+	if got := g.reg.requests.Value(owner); got != 5 {
+		t.Fatalf("owner %s served %g of 5 requests for its key", owner, got)
 	}
-	for name, c := range snap.backends {
-		if name != owner && c.requests != 0 {
-			t.Fatalf("non-owner %s saw %d requests for a key it does not own", name, c.requests)
+	for _, name := range g.order {
+		if got := g.reg.requests.Value(name); name != owner && got != 0 {
+			t.Fatalf("non-owner %s saw %g requests for a key it does not own", name, got)
 		}
 	}
 }
@@ -179,11 +179,10 @@ func TestHedgeWinsWhenBackendKilledMidRequest(t *testing.T) {
 	if !bytes.Equal(rec.Body.Bytes(), direct.Body.Bytes()) {
 		t.Fatal("hedged response differs from a direct backend call")
 	}
-	snap := g.reg.snap()
-	if snap.backends[ts2.URL].hedges == 0 {
+	if g.reg.hedges.Value(ts2.URL) == 0 {
 		t.Fatal("no hedge launched against the replica")
 	}
-	if snap.backends[ts2.URL].hedgeWins == 0 {
+	if g.reg.hedgeWins.Value(ts2.URL) == 0 {
 		t.Fatal("hedge served the response but no hedge win was recorded")
 	}
 }
@@ -239,7 +238,7 @@ func TestAllBackendsDown(t *testing.T) {
 	if eb.RequestID == "" {
 		t.Fatal("502 envelope carries no request_id")
 	}
-	if g.reg.snap().noBackend == 0 {
+	if g.reg.noBackend.Value("") == 0 {
 		t.Fatal("no_ready_backend counter did not move")
 	}
 	// The gateway's own readiness reflects the empty ring.
@@ -287,7 +286,7 @@ func TestShedWhenShardSaturated(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Stage != string(stagerr.Gateway) {
 		t.Fatalf("shed envelope malformed: %s", rec.Body.String())
 	}
-	if g.reg.snap().shed == 0 {
+	if g.reg.shed.Value("") == 0 {
 		t.Fatal("shed counter did not move")
 	}
 }
@@ -304,18 +303,16 @@ func TestRebalanceAfterBackendLeaves(t *testing.T) {
 		urls = append(urls, ts.URL)
 	}
 	g := newGateway(t, Config{}, urls...)
-	snap := g.reg.snap()
-	if snap.rebalances != 1 {
-		t.Fatalf("initial probe produced %d rebalances, want 1", snap.rebalances)
+	if got := g.reg.rebalances.Value(""); got != 1 {
+		t.Fatalf("initial probe produced %g rebalances, want 1", got)
 	}
 
 	backends[0].Close()
 	g.CheckNow(context.Background())
-	snap = g.reg.snap()
-	if snap.rebalances != 2 {
-		t.Fatalf("leave produced %d rebalances, want 2", snap.rebalances)
+	if got := g.reg.rebalances.Value(""); got != 2 {
+		t.Fatalf("leave produced %g rebalances, want 2", got)
 	}
-	if frac := snap.lastChurn; frac < 0.125 || frac > 0.45 {
+	if frac := g.reg.lastChurn.Value(""); frac < 0.125 || frac > 0.45 {
 		t.Fatalf("leave of 1-of-4 moved %.1f%% of keys, want ~25%% (consistent hashing, not rehash-everything)", 100*frac)
 	}
 	// Fleet still serves, whatever the key's old owner was.
@@ -345,9 +342,8 @@ func TestWarmOnJoin(t *testing.T) {
 		WarmQuick:      true,
 	}, ts.URL)
 
-	snap := g.reg.snap()
-	if snap.warmups != 2 {
-		t.Fatalf("join issued %d warmups, want 2 (sole backend owns every app)", snap.warmups)
+	if got := g.reg.warmups.Value(""); got != 2 {
+		t.Fatalf("join issued %g warmups, want 2 (sole backend owns every app)", got)
 	}
 	if !g.backends[ts.URL].ready() {
 		t.Fatal("backend not ready after warm-up")
@@ -437,5 +433,56 @@ func TestHealthLoopObservesJoin(t *testing.T) {
 			t.Fatal("health loop never observed the backend turning ready")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// The gateway applies the daemon's request-ID policy: a hostile inbound ID
+// is replaced by a fresh 16-hex-digit ID, a clean one is kept, and either
+// way the backend sees the ID the client gets back.
+func TestRequestIDPolicy(t *testing.T) {
+	srv := server.New(server.Config{})
+	srv.MarkReady()
+	var mu sync.Mutex
+	var seen string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/readyz" {
+			mu.Lock()
+			seen = r.Header.Get(server.RequestIDHeader)
+			mu.Unlock()
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	g := newGateway(t, Config{}, ts.URL)
+
+	fresh := regexp.MustCompile(`^[0-9a-f]{16}$`)
+	for _, tc := range []struct{ name, in string }{
+		{"over 64 bytes", strings.Repeat("x", 65)},
+		{"space", "two words"},
+		{"newline", "id\nX-Injected: 1"},
+		{"clean", "caller-42.retry_1"},
+	} {
+		req := httptest.NewRequest("POST", "/v1/analyze", strings.NewReader(analyzeBody))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(server.RequestIDHeader, tc.in)
+		rec := httptest.NewRecorder()
+		g.Handler().ServeHTTP(rec, req)
+		if rec.Code != 200 {
+			t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body.String())
+		}
+		got := rec.Header().Get(server.RequestIDHeader)
+		mu.Lock()
+		atBackend := seen
+		mu.Unlock()
+		if atBackend != got {
+			t.Errorf("%s: backend saw ID %q, client got %q", tc.name, atBackend, got)
+		}
+		if tc.name == "clean" {
+			if got != tc.in {
+				t.Errorf("clean ID %q not forwarded unchanged, got %q", tc.in, got)
+			}
+		} else if !fresh.MatchString(got) {
+			t.Errorf("%s: hostile ID %q replaced by %q, want 16 hex digits", tc.name, tc.in, got)
+		}
 	}
 }

@@ -62,17 +62,6 @@ func (b *backend) release() { <-b.sem }
 
 func (b *backend) ready() bool { return b.state.Load() == backendReady }
 
-func (b *backend) stateName() string {
-	switch b.state.Load() {
-	case backendReady:
-		return "ready"
-	case backendWarming:
-		return "warming"
-	default:
-		return "down"
-	}
-}
-
 // Start launches the background health-check loop: an immediate full probe
 // (so a gateway that starts after its backends takes traffic right away),
 // then one probe round per HealthInterval until Close/Shutdown.
@@ -178,7 +167,7 @@ func (g *Gateway) warm(ctx context.Context, b *backend) {
 		if err != nil {
 			continue
 		}
-		g.reg.warmupIssued()
+		g.reg.warmups.Add("", 1)
 		wctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
 		req, err := http.NewRequestWithContext(wctx, "POST",
 			b.base.JoinPath("/v1/analyze").String(), bytes.NewReader(body))
@@ -220,7 +209,9 @@ func (g *Gateway) rebuildRing() {
 	g.ring = next
 	g.mu.Unlock()
 	moved, fraction := churn(old, next)
-	g.reg.rebalanced(moved, fraction)
+	g.reg.rebalances.Add("", 1)
+	g.reg.keysMoved.Add("", float64(moved))
+	g.reg.lastChurn.Set("", fraction)
 }
 
 // sameMembers compares a sorted member list against an unsorted candidate

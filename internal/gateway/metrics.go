@@ -2,247 +2,71 @@ package gateway
 
 import (
 	"fmt"
-	"io"
-	"sort"
-	"sync"
+	"maps"
+	"slices"
 	"time"
+
+	"repro/internal/obs"
 )
 
-// backendCounters accumulates per-backend proxy outcomes.
-type backendCounters struct {
-	requests  int64 // attempts sent to this backend
-	errors    int64 // transport failures (connection refused, reset, ...)
-	hedges    int64 // hedged attempts launched against this backend
-	hedgeWins int64 // hedged attempts whose response was the one served
-}
-
-// routeCounters accumulates per-route proxy latency.
-type routeCounters struct {
-	count        int64
-	totalSeconds float64
-	maxSeconds   float64
-}
-
-// metrics collects the gateway's operational counters. All methods are safe
-// for concurrent use.
+// metrics is the gateway's /metrics exposition: its families, declared in
+// render order, over one obs.Registry.
 type metrics struct {
-	mu         sync.Mutex
-	start      time.Time
-	backends   map[string]*backendCounters
-	routes     map[string]*routeCounters
-	shed       int64 // 429s: primary saturated
-	noBackend  int64 // 502s: no ready backend for the key
-	timeouts   int64 // 504s: no backend answered within the request timeout
-	rebalances int64 // ring rebuilds caused by membership changes
-	keysMoved  int64 // cumulative probe keys that changed owner across rebuilds
-	lastChurn  float64
-	warmups    int64 // cache-warming requests issued on backend joins
+	*obs.Registry
+	start time.Time
+
+	requests, errors, hedges, hedgeWins *obs.Family
+	shed, noBackend, timeouts, warmups  *obs.Family
+	rebalances, keysMoved, lastChurn    *obs.Family
+	proxied, proxySeconds, proxyMax     *obs.Family
 }
 
-func newMetrics() *metrics {
-	return &metrics{
-		start:    time.Now(),
-		backends: make(map[string]*backendCounters),
-		routes:   make(map[string]*routeCounters),
-	}
-}
+// newMetrics declares the gateway's families. Backends render zero-filled
+// over the full configured pool, sorted, with readiness read at scrape
+// time, so every backend appears from the first scrape on and `up` flips
+// are visible as gauge transitions, not series births.
+func newMetrics(backends map[string]*backend) *metrics {
+	r := &obs.Registry{}
+	m := &metrics{Registry: r, start: time.Now()}
+	names := slices.Sorted(maps.Keys(backends))
+	ready := func(name string) float64 { return obs.Bit(backends[name].ready()) }
 
-// backendFor returns (creating if needed) a backend's counter slot. Callers
-// hold m.mu.
-func (m *metrics) backendFor(b string) *backendCounters {
-	c := m.backends[b]
-	if c == nil {
-		c = &backendCounters{}
-		m.backends[b] = c
-	}
-	return c
-}
+	r.Gauge("pwrsimgw_uptime_seconds", "Seconds since the gateway started.").Float().
+		Reads(func(string) float64 { return time.Since(m.start).Seconds() })
+	r.Gauge("pwrsimgw_backend_ready", "Backend readiness (1 = in the ring).").Label("backend", names).Reads(ready)
+	r.Gauge("pwrsimgw_ring_members", "Backends currently in the hash ring.").
+		Reads(func(string) float64 {
+			n := 0.0
+			for _, name := range names {
+				n += ready(name)
+			}
+			return n
+		})
 
-func (m *metrics) attempt(backend string, hedge bool) {
-	m.mu.Lock()
-	c := m.backendFor(backend)
-	c.requests++
-	if hedge {
-		c.hedges++
-	}
-	m.mu.Unlock()
-}
+	m.requests = r.Counter("pwrsimgw_backend_requests_total", "Proxy attempts by backend.").Label("backend", names)
+	m.errors = r.Counter("pwrsimgw_backend_errors_total", "Transport failures by backend.").Label("backend", names)
+	m.hedges = r.Counter("pwrsimgw_backend_hedges_total", "Hedged attempts launched by backend.").Label("backend", names)
+	m.hedgeWins = r.Counter("pwrsimgw_backend_hedge_wins_total", "Hedged attempts whose response was served.").Label("backend", names)
 
-func (m *metrics) attemptError(backend string) {
-	m.mu.Lock()
-	m.backendFor(backend).errors++
-	m.mu.Unlock()
-}
+	m.shed = r.Counter("pwrsimgw_shed_total", "Requests shed (429) because the shard's backend was saturated.")
+	m.noBackend = r.Counter("pwrsimgw_no_ready_backend_total", "Requests failed (502) with no ready backend.")
+	m.timeouts = r.Counter("pwrsimgw_timeouts_total", "Requests failed (504) with no backend response in time.")
+	m.warmups = r.Counter("pwrsimgw_warmups_total", "Cache-warming requests issued on backend joins.")
 
-func (m *metrics) hedgeWin(backend string) {
-	m.mu.Lock()
-	m.backendFor(backend).hedgeWins++
-	m.mu.Unlock()
-}
+	m.rebalances = r.Counter("pwrsimgw_ring_rebalance_total", "Hash-ring rebuilds caused by membership changes.")
+	m.keysMoved = r.Counter("pwrsimgw_ring_keys_moved_total",
+		fmt.Sprintf("Probe keys (of %d) that changed owner, summed over rebuilds.", churnProbes))
+	m.lastChurn = r.Gauge("pwrsimgw_ring_last_churn_ratio", "Keyspace fraction moved by the most recent rebuild.").Float()
 
-func (m *metrics) shedOne()      { m.mu.Lock(); m.shed++; m.mu.Unlock() }
-func (m *metrics) noReady()      { m.mu.Lock(); m.noBackend++; m.mu.Unlock() }
-func (m *metrics) timeoutOne()   { m.mu.Lock(); m.timeouts++; m.mu.Unlock() }
-func (m *metrics) warmupIssued() { m.mu.Lock(); m.warmups++; m.mu.Unlock() }
-
-// rebalanced records one ring rebuild and its estimated keyspace churn.
-func (m *metrics) rebalanced(moved int, fraction float64) {
-	m.mu.Lock()
-	m.rebalances++
-	m.keysMoved += int64(moved)
-	m.lastChurn = fraction
-	m.mu.Unlock()
+	m.proxied = r.Counter("pwrsimgw_proxied_total", "Proxied requests by route.").Label("route", nil)
+	m.proxySeconds = r.Counter("pwrsimgw_proxy_seconds_sum", "Summed gateway-side latency by route.").Float().Label("route", nil)
+	m.proxyMax = r.Gauge("pwrsimgw_proxy_seconds_max", "Worst gateway-side latency by route.").Float().Label("route", nil)
+	return m
 }
 
 // observe records one finished proxied request on a route.
 func (m *metrics) observe(route string, d time.Duration) {
-	m.mu.Lock()
-	rc := m.routes[route]
-	if rc == nil {
-		rc = &routeCounters{}
-		m.routes[route] = rc
-	}
-	rc.count++
-	sec := d.Seconds()
-	rc.totalSeconds += sec
-	if sec > rc.maxSeconds {
-		rc.maxSeconds = sec
-	}
-	m.mu.Unlock()
-}
-
-// snapshot is used by tests and the render path; it deep-copies under the
-// lock so rendering never races counter updates.
-type snapshot struct {
-	uptime     float64
-	backends   map[string]backendCounters
-	routes     map[string]routeCounters
-	shed       int64
-	noBackend  int64
-	timeouts   int64
-	rebalances int64
-	keysMoved  int64
-	lastChurn  float64
-	warmups    int64
-}
-
-func (m *metrics) snap() snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := snapshot{
-		uptime:     time.Since(m.start).Seconds(),
-		backends:   make(map[string]backendCounters, len(m.backends)),
-		routes:     make(map[string]routeCounters, len(m.routes)),
-		shed:       m.shed,
-		noBackend:  m.noBackend,
-		timeouts:   m.timeouts,
-		rebalances: m.rebalances,
-		keysMoved:  m.keysMoved,
-		lastChurn:  m.lastChurn,
-		warmups:    m.warmups,
-	}
-	for b, c := range m.backends {
-		s.backends[b] = *c
-	}
-	for r, c := range m.routes {
-		s.routes[r] = *c
-	}
-	return s
-}
-
-// render writes the Prometheus text exposition. Backends render zero-filled
-// over the full configured pool (passed in with their current readiness),
-// so every backend appears from the first scrape on and `up` flips are
-// visible as gauge transitions, not series births.
-func (m *metrics) render(w io.Writer, states map[string]string) {
-	s := m.snap()
-	names := make([]string, 0, len(states))
-	for b := range states {
-		names = append(names, b)
-	}
-	sort.Strings(names)
-	routes := make([]string, 0, len(s.routes))
-	for r := range s.routes {
-		routes = append(routes, r)
-	}
-	sort.Strings(routes)
-
-	fmt.Fprintf(w, "# HELP pwrsimgw_uptime_seconds Seconds since the gateway started.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimgw_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "pwrsimgw_uptime_seconds %g\n", s.uptime)
-
-	fmt.Fprintf(w, "# HELP pwrsimgw_backend_ready Backend readiness (1 = in the ring).\n")
-	fmt.Fprintf(w, "# TYPE pwrsimgw_backend_ready gauge\n")
-	ready := 0
-	for _, b := range names {
-		v := 0
-		if states[b] == "ready" {
-			v = 1
-			ready++
-		}
-		fmt.Fprintf(w, "pwrsimgw_backend_ready{backend=%q} %d\n", b, v)
-	}
-	fmt.Fprintf(w, "# HELP pwrsimgw_ring_members Backends currently in the hash ring.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimgw_ring_members gauge\n")
-	fmt.Fprintf(w, "pwrsimgw_ring_members %d\n", ready)
-
-	fmt.Fprintf(w, "# HELP pwrsimgw_backend_requests_total Proxy attempts by backend.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimgw_backend_requests_total counter\n")
-	for _, b := range names {
-		fmt.Fprintf(w, "pwrsimgw_backend_requests_total{backend=%q} %d\n", b, s.backends[b].requests)
-	}
-	fmt.Fprintf(w, "# HELP pwrsimgw_backend_errors_total Transport failures by backend.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimgw_backend_errors_total counter\n")
-	for _, b := range names {
-		fmt.Fprintf(w, "pwrsimgw_backend_errors_total{backend=%q} %d\n", b, s.backends[b].errors)
-	}
-	fmt.Fprintf(w, "# HELP pwrsimgw_backend_hedges_total Hedged attempts launched by backend.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimgw_backend_hedges_total counter\n")
-	for _, b := range names {
-		fmt.Fprintf(w, "pwrsimgw_backend_hedges_total{backend=%q} %d\n", b, s.backends[b].hedges)
-	}
-	fmt.Fprintf(w, "# HELP pwrsimgw_backend_hedge_wins_total Hedged attempts whose response was served.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimgw_backend_hedge_wins_total counter\n")
-	for _, b := range names {
-		fmt.Fprintf(w, "pwrsimgw_backend_hedge_wins_total{backend=%q} %d\n", b, s.backends[b].hedgeWins)
-	}
-
-	fmt.Fprintf(w, "# HELP pwrsimgw_shed_total Requests shed (429) because the shard's backend was saturated.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimgw_shed_total counter\n")
-	fmt.Fprintf(w, "pwrsimgw_shed_total %d\n", s.shed)
-	fmt.Fprintf(w, "# HELP pwrsimgw_no_ready_backend_total Requests failed (502) with no ready backend.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimgw_no_ready_backend_total counter\n")
-	fmt.Fprintf(w, "pwrsimgw_no_ready_backend_total %d\n", s.noBackend)
-	fmt.Fprintf(w, "# HELP pwrsimgw_timeouts_total Requests failed (504) with no backend response in time.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimgw_timeouts_total counter\n")
-	fmt.Fprintf(w, "pwrsimgw_timeouts_total %d\n", s.timeouts)
-	fmt.Fprintf(w, "# HELP pwrsimgw_warmups_total Cache-warming requests issued on backend joins.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimgw_warmups_total counter\n")
-	fmt.Fprintf(w, "pwrsimgw_warmups_total %d\n", s.warmups)
-
-	fmt.Fprintf(w, "# HELP pwrsimgw_ring_rebalance_total Hash-ring rebuilds caused by membership changes.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimgw_ring_rebalance_total counter\n")
-	fmt.Fprintf(w, "pwrsimgw_ring_rebalance_total %d\n", s.rebalances)
-	fmt.Fprintf(w, "# HELP pwrsimgw_ring_keys_moved_total Probe keys (of %d) that changed owner, summed over rebuilds.\n", churnProbes)
-	fmt.Fprintf(w, "# TYPE pwrsimgw_ring_keys_moved_total counter\n")
-	fmt.Fprintf(w, "pwrsimgw_ring_keys_moved_total %d\n", s.keysMoved)
-	fmt.Fprintf(w, "# HELP pwrsimgw_ring_last_churn_ratio Keyspace fraction moved by the most recent rebuild.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimgw_ring_last_churn_ratio gauge\n")
-	fmt.Fprintf(w, "pwrsimgw_ring_last_churn_ratio %g\n", s.lastChurn)
-
-	fmt.Fprintf(w, "# HELP pwrsimgw_proxied_total Proxied requests by route.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimgw_proxied_total counter\n")
-	for _, r := range routes {
-		fmt.Fprintf(w, "pwrsimgw_proxied_total{route=%q} %d\n", r, s.routes[r].count)
-	}
-	fmt.Fprintf(w, "# HELP pwrsimgw_proxy_seconds_sum Summed gateway-side latency by route.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimgw_proxy_seconds_sum counter\n")
-	for _, r := range routes {
-		fmt.Fprintf(w, "pwrsimgw_proxy_seconds_sum{route=%q} %g\n", r, s.routes[r].totalSeconds)
-	}
-	fmt.Fprintf(w, "# HELP pwrsimgw_proxy_seconds_max Worst gateway-side latency by route.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimgw_proxy_seconds_max gauge\n")
-	for _, r := range routes {
-		fmt.Fprintf(w, "pwrsimgw_proxy_seconds_max{route=%q} %g\n", r, s.routes[r].maxSeconds)
-	}
+	m.proxied.Add(route, 1)
+	m.proxySeconds.Add(route, d.Seconds())
+	m.proxyMax.Max(route, d.Seconds())
 }

@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/analysis"
@@ -109,6 +110,12 @@ type searcher struct {
 	evals    int
 }
 
+// minGrid is the finest accepted lattice step in GHz, finer than any gear
+// spacing in dvfs. Each coordinate-descent round scores about
+// 2·(FMax − FMin/2)/Grid candidates and only the caller's context stops it,
+// so an unbounded step lets one request hold a core until its deadline.
+const minGrid = 0.001
+
 func (cfg *Config) normalize() error {
 	if len(cfg.Traces) == 0 {
 		return ErrNoTraces
@@ -131,8 +138,8 @@ func (cfg *Config) normalize() error {
 	if cfg.Grid == 0 {
 		cfg.Grid = 0.05
 	}
-	if cfg.Grid <= 0 {
-		return fmt.Errorf("gearopt: grid step must be positive, got %v", cfg.Grid)
+	if !(cfg.Grid >= minGrid) || math.IsInf(cfg.Grid, 1) {
+		return fmt.Errorf("gearopt: grid step must be finite and at least %v GHz, got %v", minGrid, cfg.Grid)
 	}
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = 8

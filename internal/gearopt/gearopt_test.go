@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dimemas"
 	"repro/internal/dvfs"
+	"repro/internal/stagerr"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -40,8 +41,11 @@ func TestOptimizeValidation(t *testing.T) {
 	if _, err := Optimize(Config{Traces: trs, NGears: 1}); err == nil {
 		t.Error("1 gear should fail")
 	}
-	if _, err := Optimize(Config{Traces: trs, NGears: 4, Grid: -1}); err == nil {
-		t.Error("negative grid should fail")
+	for _, grid := range []float64{-1, 1e-6, math.Inf(1), math.NaN()} {
+		_, err := Optimize(Config{Traces: trs, NGears: 4, Grid: grid})
+		if st, _ := stagerr.StageOf(err); st != stagerr.Validate {
+			t.Errorf("grid %v: err = %v, want a validate-stage error", grid, err)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ func BenchmarkServerAnalyze(b *testing.B) {
 	defer ts.Close()
 
 	body, err := json.Marshal(AnalyzeRequest{
-		Trace:   TraceSpec{App: "IS-32", Iterations: 3, Quick: true},
+		Trace:   TraceRef{App: "IS-32", Iterations: 3, Quick: true},
 		GearSet: GearSetSpec{Kind: "uniform"},
 	})
 	if err != nil {
@@ -71,7 +71,7 @@ func BenchmarkServerAnalyzeBatch(b *testing.B) {
 		items[i] = AnalyzeBatchItem{Algorithm: "MAX", GearSet: GearSetSpec{Kind: kind, N: n}}
 	}
 	body, err := json.Marshal(AnalyzeBatchRequest{
-		Trace: TraceSpec{App: "IS-32", Iterations: 3, Quick: true},
+		Trace: TraceRef{App: "IS-32", Iterations: 3, Quick: true},
 		Items: items,
 	})
 	if err != nil {

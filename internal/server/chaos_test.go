@@ -68,7 +68,7 @@ func chaosBody(worker, i int) (route string, body any) {
 			GearSpec: GearSpec{Beta: &beta},
 		}
 	default: // inline text → trace-parse point (uncached Simulate)
-		return "/v1/replay", ReplayRequest{Trace: TraceSpec{Text: chaosInlineTrace}}
+		return "/v1/replay", ReplayRequest{Trace: TraceRef{Text: chaosInlineTrace}}
 	}
 }
 

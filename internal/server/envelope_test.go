@@ -91,6 +91,7 @@ func TestErrorEnvelopeStages(t *testing.T) {
 		{"bad algorithm", "/v1/analyze", `{"trace": {"app": "IS-32", "iterations": 3, "quick": true}, "algorithm": "MINMAX"}`, "validate"},
 		{"bad gear kind", "/v1/analyze", `{"trace": {"app": "IS-32", "iterations": 3, "quick": true}, "gear_set": {"kind": "nope"}}`, "validate"},
 		{"tracegen inline text", "/v1/tracegen", `{"trace": {"text": "x"}}`, "validate"},
+		{"gearopt grid below minimum", "/v1/gearopt", `{"traces": [{"app": "IS-32", "iterations": 3, "quick": true}], "grid": 1e-6}`, "validate"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -202,11 +203,8 @@ func TestPanicRecovery(t *testing.T) {
 		t.Fatalf("late-panic status rewritten to %d", rec.Code)
 	}
 
-	s.reg.mu.Lock()
-	panics := s.reg.panics
-	s.reg.mu.Unlock()
-	if panics != 2 {
-		t.Fatalf("panic counter = %d, want 2", panics)
+	if panics := s.reg.panics.Value(""); panics != 2 {
+		t.Fatalf("panic counter = %g, want 2", panics)
 	}
 }
 

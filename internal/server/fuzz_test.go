@@ -51,11 +51,8 @@ func FuzzRebalanceBody(f *testing.F) {
 		} else {
 			envelope(t, resp)
 		}
-		s.reg.mu.Lock()
-		panics := s.reg.panics
-		s.reg.mu.Unlock()
-		if panics != 0 {
-			t.Fatalf("handler panicked %d times", panics)
+		if panics := s.reg.panics.Value(""); panics != 0 {
+			t.Fatalf("handler panicked %g times", panics)
 		}
 	})
 }

@@ -22,7 +22,7 @@ import (
 // cache when the handler itself re-evaluates the trace, built lazily so
 // the common generated-workload path allocates nothing) or nil for
 // one-shot pipelines.
-func (s *Server) cacheFor(local func() *dimemas.ReplayCache, specs ...TraceSpec) *dimemas.ReplayCache {
+func (s *Server) cacheFor(local func() *dimemas.ReplayCache, specs ...TraceRef) *dimemas.ReplayCache {
 	for _, spec := range specs {
 		if spec.Text != "" {
 			if local == nil {
@@ -53,7 +53,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.reg.render(w, s.cache.Stats(), s.Ready())
+	s.reg.Render(w)
 }
 
 func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {

@@ -2,12 +2,11 @@ package server
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"log"
 	"net/http"
 	"runtime/debug"
 
+	"repro/internal/obs"
 	"repro/internal/stagerr"
 )
 
@@ -18,45 +17,12 @@ import (
 // about the same failure can be joined.
 const RequestIDHeader = "X-Request-ID"
 
-// maxRequestIDLen bounds an inbound request ID; longer (or non-token) IDs
-// are replaced rather than truncated, so a hostile header cannot smuggle
-// bytes into logs or envelopes.
-const maxRequestIDLen = 64
-
 type requestIDKey struct{}
 
 // requestID returns the ID the lifecycle middleware stored in ctx, or ""
 // for contexts that never passed through it (direct library use, tests).
 func requestID(ctx context.Context) string {
 	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
-}
-
-// newRequestID returns a fresh 16-hex-digit random ID.
-func newRequestID() string {
-	var b [8]byte
-	// crypto/rand.Read never fails on supported platforms; a zero ID is
-	// still a valid (if degenerate) correlation token.
-	rand.Read(b[:])
-	return hex.EncodeToString(b[:])
-}
-
-// sanitizeRequestID accepts an inbound ID only if it is a short, plain
-// token: 1..64 bytes of [A-Za-z0-9._-]. Anything else returns "" and the
-// server assigns its own.
-func sanitizeRequestID(id string) string {
-	if len(id) == 0 || len(id) > maxRequestIDLen {
-		return ""
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
-		case c == '-', c == '_', c == '.':
-		default:
-			return ""
-		}
-	}
 	return id
 }
 
@@ -67,10 +33,7 @@ func sanitizeRequestID(id string) string {
 // daemon's connection (or, worse, the process).
 func (s *Server) withLifecycle(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := sanitizeRequestID(r.Header.Get(RequestIDHeader))
-		if id == "" {
-			id = newRequestID()
-		}
+		id := obs.RequestID(r.Header.Get(RequestIDHeader))
 		w.Header().Set(RequestIDHeader, id)
 		r = r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id))
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
@@ -79,7 +42,7 @@ func (s *Server) withLifecycle(next http.Handler) http.Handler {
 			if v == nil {
 				return
 			}
-			s.reg.panicked()
+			s.reg.panics.Add("", 1)
 			log.Printf("pwrsimd: panic serving %s %s (request %s): %v\n%s",
 				r.Method, r.URL.Path, id, v, debug.Stack())
 			// A panic after the handler started writing cannot be turned

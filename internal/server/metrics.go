@@ -1,236 +1,82 @@
 package server
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/dimemas"
+	"repro/internal/obs"
 	"repro/internal/stagerr"
 )
 
-// routeStats accumulates request counts and latencies for one route.
-type routeStats struct {
-	count        int64
-	errors       int64
-	totalSeconds float64
-	maxSeconds   float64
+// metrics is the daemon's /metrics exposition: its families, declared in
+// render order, over one obs.Registry.
+type metrics struct {
+	*obs.Registry
+	start time.Time
+
+	inFlight, rejected, timeouts, panics                *obs.Family
+	requests, requestErrors, requestSeconds, requestMax *obs.Family
+	stageErrors, stageSeconds, stageSpans               *obs.Family
 }
 
-// stageStats accumulates error counts and latency spans for one pipeline
-// stage (internal/stagerr taxonomy).
-type stageStats struct {
-	errors       int64
-	spans        int64
-	totalSeconds float64
-}
-
-// registry collects the daemon's operational counters. All methods are safe
-// for concurrent use.
-type registry struct {
-	mu       sync.Mutex
-	start    time.Time
-	inFlight int64
-	rejected int64
-	timeouts int64
-	panics   int64
-	routes   map[string]*routeStats
-	stages   map[stagerr.Stage]*stageStats
-}
-
-func newRegistry() *registry {
-	return &registry{
-		start:  time.Now(),
-		routes: make(map[string]*routeStats),
-		stages: make(map[stagerr.Stage]*stageStats),
+// newMetrics declares the daemon's families. The replay cache's stats and
+// the readiness gauge are read at scrape time.
+func newMetrics(cache *dimemas.ReplayCache, ready func() bool) *metrics {
+	r := &obs.Registry{}
+	m := &metrics{Registry: r, start: time.Now()}
+	// Stages render zero-filled over the full taxonomy (stagerr.Stages()
+	// is in pipeline order), so scrapes are deterministic and dashboards
+	// see every stage from the first scrape on.
+	var stages []string
+	for _, st := range stagerr.Stages() {
+		stages = append(stages, string(st))
 	}
-}
 
-func (g *registry) enter() {
-	g.mu.Lock()
-	g.inFlight++
-	g.mu.Unlock()
-}
+	r.Gauge("pwrsimd_uptime_seconds", "Seconds since the server started.").Float().
+		Reads(func(string) float64 { return time.Since(m.start).Seconds() })
+	m.inFlight = r.Gauge("pwrsimd_in_flight", "Requests currently being served.")
+	m.rejected = r.Counter("pwrsimd_rejected_total", "Requests rejected by the in-flight limit.")
+	m.timeouts = r.Counter("pwrsimd_timeouts_total", "Requests aborted by the per-request timeout.")
+	m.panics = r.Counter("pwrsimd_panics_total", "Handler panics contained by the lifecycle middleware.")
+	r.Gauge("pwrsimd_ready", "Readiness (1 = serving, 0 = starting or draining; see /readyz).").
+		Reads(func(string) float64 { return obs.Bit(ready()) })
 
-func (g *registry) exit() {
-	g.mu.Lock()
-	g.inFlight--
-	g.mu.Unlock()
-}
+	r.Counter("pwrsimd_cache_hits_total", "Replay-cache hits.").
+		Reads(func(string) float64 { return float64(cache.Stats().Hits) })
+	r.Counter("pwrsimd_cache_misses_total", "Replay-cache misses.").
+		Reads(func(string) float64 { return float64(cache.Stats().Misses) })
+	r.Counter("pwrsimd_cache_evictions_total", "Replay-cache LRU evictions.").
+		Reads(func(string) float64 { return float64(cache.Stats().Evictions) })
+	r.Gauge("pwrsimd_cache_entries", "Replay-cache current entry count.").
+		Reads(func(string) float64 { return float64(cache.Stats().Entries) })
+	// The hit ratio is derivable from the counters, but exposing it as a
+	// gauge lets the fleet scaling experiment (and dashboards) read each
+	// shard's cache temperature without doing rate arithmetic.
+	r.Gauge("pwrsimd_cache_hit_ratio", "Replay-cache hits over lookups since start (0 before the first lookup).").Float().
+		Reads(func(string) float64 {
+			c := cache.Stats()
+			if lookups := c.Hits + c.Misses; lookups > 0 {
+				return float64(c.Hits) / float64(lookups)
+			}
+			return 0
+		})
 
-func (g *registry) reject() {
-	g.mu.Lock()
-	g.rejected++
-	g.mu.Unlock()
-}
+	m.requests = r.Counter("pwrsimd_requests_total", "Finished requests by route.").Label("route", nil)
+	m.requestErrors = r.Counter("pwrsimd_request_errors_total", "Non-2xx requests by route.").Label("route", nil)
+	m.requestSeconds = r.Counter("pwrsimd_request_seconds_sum", "Summed request latency by route.").Float().Label("route", nil)
+	m.requestMax = r.Gauge("pwrsimd_request_seconds_max", "Worst observed request latency by route.").Float().Label("route", nil)
 
-func (g *registry) timeout() {
-	g.mu.Lock()
-	g.timeouts++
-	g.mu.Unlock()
-}
-
-func (g *registry) panicked() {
-	g.mu.Lock()
-	g.panics++
-	g.mu.Unlock()
-}
-
-// stageFor returns (creating if needed) the stats slot of a stage. Callers
-// hold g.mu.
-func (g *registry) stageFor(st stagerr.Stage) *stageStats {
-	ss := g.stages[st]
-	if ss == nil {
-		ss = &stageStats{}
-		g.stages[st] = ss
-	}
-	return ss
-}
-
-// stageError counts one error envelope attributed to a stage.
-func (g *registry) stageError(st stagerr.Stage) {
-	g.mu.Lock()
-	g.stageFor(st).errors++
-	g.mu.Unlock()
-}
-
-// observeStage records one timed span of a pipeline stage.
-func (g *registry) observeStage(st stagerr.Stage, d time.Duration) {
-	g.mu.Lock()
-	ss := g.stageFor(st)
-	ss.spans++
-	ss.totalSeconds += d.Seconds()
-	g.mu.Unlock()
+	m.stageErrors = r.Counter("pwrsimd_stage_errors_total", "Error envelopes by originating pipeline stage.").Label("stage", stages)
+	m.stageSeconds = r.Counter("pwrsimd_stage_seconds_sum", "Summed latency of timed pipeline-stage spans.").Float().Label("stage", stages)
+	m.stageSpans = r.Counter("pwrsimd_stage_seconds_count", "Timed pipeline-stage spans.").Label("stage", stages)
+	return m
 }
 
 // observe records one finished request on a route. isErr marks non-2xx
 // outcomes.
-func (g *registry) observe(route string, d time.Duration, isErr bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	rs := g.routes[route]
-	if rs == nil {
-		rs = &routeStats{}
-		g.routes[route] = rs
-	}
-	rs.count++
-	if isErr {
-		rs.errors++
-	}
-	sec := d.Seconds()
-	rs.totalSeconds += sec
-	if sec > rs.maxSeconds {
-		rs.maxSeconds = sec
-	}
-}
-
-// render writes the Prometheus text exposition of the counters plus the
-// shared replay cache's stats. Routes are sorted for deterministic output.
-func (g *registry) render(w io.Writer, cache dimemas.CacheStats, ready bool) {
-	g.mu.Lock()
-	inFlight, rejected, timeouts, panics := g.inFlight, g.rejected, g.timeouts, g.panics
-	uptime := time.Since(g.start).Seconds()
-	routes := make([]string, 0, len(g.routes))
-	for r := range g.routes {
-		routes = append(routes, r)
-	}
-	sort.Strings(routes)
-	snap := make(map[string]routeStats, len(g.routes))
-	for r, rs := range g.routes {
-		snap[r] = *rs
-	}
-	// Stages render zero-filled over the full taxonomy (stagerr.Stages()
-	// is in pipeline order), so scrapes are deterministic and dashboards
-	// see every stage from the first scrape on.
-	stageSnap := make(map[stagerr.Stage]stageStats, len(g.stages))
-	for st, ss := range g.stages {
-		stageSnap[st] = *ss
-	}
-	g.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP pwrsimd_uptime_seconds Seconds since the server started.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "pwrsimd_uptime_seconds %g\n", uptime)
-	fmt.Fprintf(w, "# HELP pwrsimd_in_flight Requests currently being served.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_in_flight gauge\n")
-	fmt.Fprintf(w, "pwrsimd_in_flight %d\n", inFlight)
-	fmt.Fprintf(w, "# HELP pwrsimd_rejected_total Requests rejected by the in-flight limit.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_rejected_total counter\n")
-	fmt.Fprintf(w, "pwrsimd_rejected_total %d\n", rejected)
-	fmt.Fprintf(w, "# HELP pwrsimd_timeouts_total Requests aborted by the per-request timeout.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_timeouts_total counter\n")
-	fmt.Fprintf(w, "pwrsimd_timeouts_total %d\n", timeouts)
-	fmt.Fprintf(w, "# HELP pwrsimd_panics_total Handler panics contained by the lifecycle middleware.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_panics_total counter\n")
-	fmt.Fprintf(w, "pwrsimd_panics_total %d\n", panics)
-
-	readyVal := 0
-	if ready {
-		readyVal = 1
-	}
-	fmt.Fprintf(w, "# HELP pwrsimd_ready Readiness (1 = serving, 0 = starting or draining; see /readyz).\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_ready gauge\n")
-	fmt.Fprintf(w, "pwrsimd_ready %d\n", readyVal)
-
-	fmt.Fprintf(w, "# HELP pwrsimd_cache_hits_total Replay-cache hits.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_cache_hits_total counter\n")
-	fmt.Fprintf(w, "pwrsimd_cache_hits_total %d\n", cache.Hits)
-	fmt.Fprintf(w, "# HELP pwrsimd_cache_misses_total Replay-cache misses.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_cache_misses_total counter\n")
-	fmt.Fprintf(w, "pwrsimd_cache_misses_total %d\n", cache.Misses)
-	fmt.Fprintf(w, "# HELP pwrsimd_cache_evictions_total Replay-cache LRU evictions.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "pwrsimd_cache_evictions_total %d\n", cache.Evictions)
-	fmt.Fprintf(w, "# HELP pwrsimd_cache_entries Replay-cache current entry count.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_cache_entries gauge\n")
-	fmt.Fprintf(w, "pwrsimd_cache_entries %d\n", cache.Entries)
-	// The hit ratio is derivable from the counters, but exposing it as a
-	// gauge lets the fleet scaling experiment (and dashboards) read each
-	// shard's cache temperature without doing rate arithmetic.
-	ratio := 0.0
-	if lookups := cache.Hits + cache.Misses; lookups > 0 {
-		ratio = float64(cache.Hits) / float64(lookups)
-	}
-	fmt.Fprintf(w, "# HELP pwrsimd_cache_hit_ratio Replay-cache hits over lookups since start (0 before the first lookup).\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_cache_hit_ratio gauge\n")
-	fmt.Fprintf(w, "pwrsimd_cache_hit_ratio %g\n", ratio)
-
-	fmt.Fprintf(w, "# HELP pwrsimd_requests_total Finished requests by route.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_requests_total counter\n")
-	for _, r := range routes {
-		fmt.Fprintf(w, "pwrsimd_requests_total{route=%q} %d\n", r, snap[r].count)
-	}
-	fmt.Fprintf(w, "# HELP pwrsimd_request_errors_total Non-2xx requests by route.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_request_errors_total counter\n")
-	for _, r := range routes {
-		fmt.Fprintf(w, "pwrsimd_request_errors_total{route=%q} %d\n", r, snap[r].errors)
-	}
-	fmt.Fprintf(w, "# HELP pwrsimd_request_seconds_sum Summed request latency by route.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_request_seconds_sum counter\n")
-	for _, r := range routes {
-		fmt.Fprintf(w, "pwrsimd_request_seconds_sum{route=%q} %g\n", r, snap[r].totalSeconds)
-	}
-	fmt.Fprintf(w, "# HELP pwrsimd_request_seconds_max Worst observed request latency by route.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_request_seconds_max gauge\n")
-	for _, r := range routes {
-		fmt.Fprintf(w, "pwrsimd_request_seconds_max{route=%q} %g\n", r, snap[r].maxSeconds)
-	}
-
-	fmt.Fprintf(w, "# HELP pwrsimd_stage_errors_total Error envelopes by originating pipeline stage.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_stage_errors_total counter\n")
-	for _, st := range stagerr.Stages() {
-		fmt.Fprintf(w, "pwrsimd_stage_errors_total{stage=%q} %d\n", st, stageSnap[st].errors)
-	}
-	fmt.Fprintf(w, "# HELP pwrsimd_stage_seconds_sum Summed latency of timed pipeline-stage spans.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_stage_seconds_sum counter\n")
-	for _, st := range stagerr.Stages() {
-		fmt.Fprintf(w, "pwrsimd_stage_seconds_sum{stage=%q} %g\n", st, stageSnap[st].totalSeconds)
-	}
-	fmt.Fprintf(w, "# HELP pwrsimd_stage_seconds_count Timed pipeline-stage spans.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_stage_seconds_count counter\n")
-	for _, st := range stagerr.Stages() {
-		fmt.Fprintf(w, "pwrsimd_stage_seconds_count{stage=%q} %d\n", st, stageSnap[st].spans)
-	}
+func (m *metrics) observe(route string, d time.Duration, isErr bool) {
+	m.requests.Add(route, 1)
+	m.requestErrors.Add(route, obs.Bit(isErr))
+	m.requestSeconds.Add(route, d.Seconds())
+	m.requestMax.Max(route, d.Seconds())
 }

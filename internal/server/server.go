@@ -133,7 +133,7 @@ type traceItem struct {
 type Server struct {
 	cfg      Config
 	cache    *dimemas.ReplayCache
-	reg      *registry
+	reg      *metrics
 	mux      *http.ServeMux
 	root     http.Handler
 	http     *http.Server
@@ -153,7 +153,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		cache:    dimemas.NewReplayCacheWithLimit(cfg.CacheEntries),
-		reg:      newRegistry(),
 		mux:      http.NewServeMux(),
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		platform: cfg.Platform,
@@ -161,6 +160,7 @@ func New(cfg Config) *Server {
 		traces:   make(map[traceKey]*list.Element),
 		tlru:     list.New(),
 	}
+	s.reg = newMetrics(s.cache, s.Ready)
 	s.routes()
 	s.root = s.withLifecycle(s.mux)
 	s.http = &http.Server{Addr: cfg.Addr, Handler: s.root}
@@ -269,7 +269,7 @@ func (s *Server) limited(route string, h http.HandlerFunc) http.HandlerFunc {
 		select {
 		case s.sem <- struct{}{}:
 		default:
-			s.reg.reject()
+			s.reg.rejected.Add("", 1)
 			w.Header().Set("Retry-After", "1")
 			s.writeError(w, r, http.StatusServiceUnavailable, stagerr.Serve,
 				fmt.Sprintf("server at capacity (%d in flight)", cap(s.sem)))
@@ -284,8 +284,8 @@ func (s *Server) limited(route string, h http.HandlerFunc) http.HandlerFunc {
 			}
 			token.free()
 		}()
-		s.reg.enter()
-		defer s.reg.exit()
+		s.reg.inFlight.Add("", 1)
+		defer s.reg.inFlight.Add("", -1)
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
 		ctx = context.WithValue(ctx, semTokenKey{}, token)
@@ -328,19 +328,19 @@ func call[T any](ctx context.Context, f func() (T, error)) (T, error) {
 	}
 }
 
-// traceFor resolves a TraceSpec: inline text is parsed per request;
+// traceFor resolves a TraceRef: inline text is parsed per request;
 // generated workloads are memoized so every request for the same instance
 // shares one trace identity — the property the replay cache keys on. The
 // request context is threaded into the calibration replays so a timed-out
 // request stops generating promptly; a generation aborted that way is not
 // memoized (waiters with live contexts retry, bounded, then generate
 // uncached rather than loop on repeatedly cancelled peers).
-func (s *Server) traceFor(ctx context.Context, spec TraceSpec) (*trace.Trace, error) {
+func (s *Server) traceFor(ctx context.Context, spec TraceRef) (*trace.Trace, error) {
 	return span(s, stagerr.Parse, func() (*trace.Trace, error) { return s.traceResolve(ctx, spec) })
 }
 
 // traceResolve is traceFor without the parse-stage span accounting.
-func (s *Server) traceResolve(ctx context.Context, spec TraceSpec) (*trace.Trace, error) {
+func (s *Server) traceResolve(ctx context.Context, spec TraceRef) (*trace.Trace, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
@@ -439,7 +439,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // middleware. Every error response, on every route, goes through here, so
 // the per-stage error counters see all of them.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, stage stagerr.Stage, msg string) {
-	s.reg.stageError(stage)
+	s.reg.stageErrors.Add(string(stage), 1)
 	writeJSON(w, status, ErrorBody{
 		Error:     msg,
 		Stage:     string(stage),
@@ -475,7 +475,7 @@ const statusClientClosedRequest = 499
 func finishErr(s *Server, w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		s.reg.timeout()
+		s.reg.timeouts.Add("", 1)
 		s.writeError(w, r, http.StatusGatewayTimeout, stagerr.Serve, "request timed out")
 	case errors.Is(err, context.Canceled):
 		s.writeError(w, r, statusClientClosedRequest, stagerr.Serve, "client closed request")
@@ -497,6 +497,7 @@ func finishErr(s *Server, w http.ResponseWriter, r *http.Request, err error) {
 func span[T any](s *Server, st stagerr.Stage, f func() (T, error)) (T, error) {
 	start := time.Now()
 	v, err := f()
-	s.reg.observeStage(st, time.Since(start))
+	s.reg.stageSeconds.Add(string(st), time.Since(start).Seconds())
+	s.reg.stageSpans.Add(string(st), 1)
 	return v, err
 }

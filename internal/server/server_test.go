@@ -28,13 +28,13 @@ import (
 )
 
 // testSpec is the small, fast workload most tests run against.
-var testSpec = TraceSpec{App: "IS-32", Iterations: 3, Quick: true}
+var testSpec = TraceRef{App: "IS-32", Iterations: 3, Quick: true}
 
 // betaPtr builds the optional wire form of an explicit beta.
 func betaPtr(b float64) *float64 { return &b }
 
 // genTestTrace builds the library-side equivalent of testSpec-style specs.
-func genTestTrace(t testing.TB, spec TraceSpec) *trace.Trace {
+func genTestTrace(t testing.TB, spec TraceRef) *trace.Trace {
 	t.Helper()
 	inst, err := workload.FindInstance(spec.App)
 	if spec.NProcs > 0 {
@@ -179,7 +179,7 @@ func TestAnalyzeByteIdenticalToLibrary(t *testing.T) {
 func TestGearOptByteIdenticalToLibrary(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := GearOptRequest{
-		Traces:    []TraceSpec{testSpec},
+		Traces:    []TraceRef{testSpec},
 		NGears:    3,
 		Grid:      0.25,
 		MaxRounds: 2,
@@ -239,7 +239,7 @@ func TestInlineTextTraceReplay(t *testing.T) {
 	if err := trace.Write(&sb, tr); err != nil {
 		t.Fatal(err)
 	}
-	code, got := postJSON(t, ts.URL+"/v1/replay", ReplayRequest{Trace: TraceSpec{Text: sb.String()}})
+	code, got := postJSON(t, ts.URL+"/v1/replay", ReplayRequest{Trace: TraceRef{Text: sb.String()}})
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, got)
 	}
@@ -269,7 +269,7 @@ func TestInlineTracesDoNotPolluteSharedCache(t *testing.T) {
 	if err := trace.Write(&sb, tr); err != nil {
 		t.Fatal(err)
 	}
-	inline := TraceSpec{Text: sb.String()}
+	inline := TraceRef{Text: sb.String()}
 	freqs := make([]float64, tr.NumRanks())
 	for i := range freqs {
 		freqs[i] = 1.1
@@ -518,9 +518,9 @@ func TestHealthzAndMetrics(t *testing.T) {
 
 func TestCacheEvictionUnderBound(t *testing.T) {
 	s, ts := newTestServer(t, Config{CacheEntries: 1})
-	specA := TraceSpec{App: "IS-32", Iterations: 3, Quick: true}
-	specB := TraceSpec{App: "CG-32", Iterations: 3, Quick: true}
-	for _, spec := range []TraceSpec{specA, specB, specA} {
+	specA := TraceRef{App: "IS-32", Iterations: 3, Quick: true}
+	specB := TraceRef{App: "CG-32", Iterations: 3, Quick: true}
+	for _, spec := range []TraceRef{specA, specB, specA} {
 		code, body := postJSON(t, ts.URL+"/v1/replay", ReplayRequest{Trace: spec})
 		if code != http.StatusOK {
 			t.Fatalf("status %d: %s", code, body)
@@ -538,7 +538,7 @@ func TestCacheEvictionUnderBound(t *testing.T) {
 func TestTraceCacheBounded(t *testing.T) {
 	s, ts := newTestServer(t, Config{TraceCacheEntries: 1})
 	for _, app := range []string{"IS-32", "CG-32", "MG-32"} {
-		code, body := postJSON(t, ts.URL+"/v1/replay", ReplayRequest{Trace: TraceSpec{App: app, Iterations: 3, Quick: true}})
+		code, body := postJSON(t, ts.URL+"/v1/replay", ReplayRequest{Trace: TraceRef{App: app, Iterations: 3, Quick: true}})
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", app, code, body)
 		}
@@ -677,7 +677,7 @@ func TestTimedOutGenerationNotMemoized(t *testing.T) {
 	s, ts := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
 	// Non-quick spec: generation runs the PE-calibration bisection, the
 	// stage that was uncancellable before.
-	spec := TraceSpec{App: "IS-32", Iterations: 2}
+	spec := TraceRef{App: "IS-32", Iterations: 2}
 	code, _ := postJSON(t, ts.URL+"/v1/replay", ReplayRequest{Trace: spec})
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", code)
@@ -764,7 +764,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 
 	// A non-quick workload generation (PE-calibration bisection replays)
 	// keeps this request in flight long enough to observe the drain.
-	slow := TraceSpec{App: "CG-64", Iterations: 20}
+	slow := TraceRef{App: "CG-64", Iterations: 20}
 	type result struct {
 		code int
 		body []byte
@@ -786,10 +786,8 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	// Wait until the request is actually in flight (or already finished).
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		s.reg.mu.Lock()
-		inFlight := s.reg.inFlight
-		finished := s.reg.routes["/v1/replay"] != nil
-		s.reg.mu.Unlock()
+		inFlight := s.reg.inFlight.Value("")
+		finished := s.reg.requests.Value("/v1/replay") > 0
 		if inFlight > 0 || finished {
 			break
 		}

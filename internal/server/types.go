@@ -67,10 +67,6 @@ type TraceRef struct {
 	Quick bool `json:"quick,omitempty"`
 }
 
-// TraceSpec is the pre-redesign name of TraceRef, kept as an alias so
-// existing callers and tests keep compiling; the wire format is unchanged.
-type TraceSpec = TraceRef
-
 func (s *TraceRef) validate() error {
 	if (s.Text == "") == (s.App == "") {
 		return stagerr.New(stagerr.Validate, "trace: exactly one of text or app is required")
@@ -461,9 +457,9 @@ func NewAppsResponse() *AppsResponse {
 }
 
 // TracegenRequest is the body of POST /v1/tracegen: a generated-workload
-// TraceSpec (inline text input is rejected — there is nothing to generate).
+// TraceRef (inline text input is rejected — there is nothing to generate).
 type TracegenRequest struct {
-	Trace TraceSpec `json:"trace"`
+	Trace TraceRef `json:"trace"`
 }
 
 // TracegenResponse is the body of a successful POST /v1/tracegen.
