@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -72,5 +73,35 @@ func TestRunWritesOutFile(t *testing.T) {
 	}
 	if !strings.Contains(string(b), "uniform-6") {
 		t.Fatalf("report file missing gear table:\n%s", b)
+	}
+}
+
+// TestReportGolden pins the whole five-iteration report byte for byte, so a
+// refactor of any pipeline the experiments drive must leave every table and
+// figure unchanged. Regenerate testdata/report.golden with
+//
+//	go run ./cmd/pwrsim -experiment all -iterations 5 -quiet -out cmd/pwrsim/testdata/report.golden
+//
+// only when a change is meant to move the numbers.
+func TestReportGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden report is pinned on amd64; other architectures may fuse multiply-adds")
+	}
+	var out, errOut strings.Builder
+	if err := run([]string{"-experiment", "all", "-iterations", "5", "-quiet"}, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/report.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("report differs from testdata/report.golden at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("report differs from testdata/report.golden: %d lines, want %d", len(gl), len(wl))
 	}
 }

@@ -118,8 +118,6 @@ func main() {
 	res, err := repro.OptimizePlacement(repro.PlacementConfig{
 		Trace:   pipe,
 		Machine: twoTier(shuffledPl),
-		Beta:    repro.DefaultBeta,
-		BetaSet: true,
 		FMax:    repro.FMax,
 	})
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/dimemas"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/power"
 	"repro/internal/stagerr"
-	"repro/internal/timemodel"
 	"repro/internal/trace"
 )
 
@@ -31,7 +29,7 @@ type Config struct {
 	// replays on the layered machine, the balancer honors per-rank frequency
 	// ceilings (Capability.FMax), and the energy accounting multiplies each
 	// rank's draw by Capability.PowerScale. A Machine with a zero Base
-	// inherits the normalized Platform.
+	// inherits the Platform (dimemas.ResolveMachine).
 	Machine *dimemas.Machine
 	// Power configures the CPU power model; zero value means the paper's
 	// baseline (ratio 1.5, static 20 %).
@@ -40,15 +38,9 @@ type Config struct {
 	Set *dvfs.Set
 	// Algorithm selects MAX or AVG.
 	Algorithm core.Algorithm
-	// Beta is the memory-boundedness parameter in [0, 1]. The zero value
-	// selects the paper's default 0.5 (timemodel.DefaultBeta) unless
-	// BetaSet is true.
-	Beta float64
-	// BetaSet marks Beta as explicitly chosen, making an explicit Beta = 0
-	// (a fully memory-bound, frequency-insensitive run — legal in
-	// dimemas.Options) reach the simulator unrewritten instead of being
-	// treated as "unset" and defaulted to 0.5.
-	BetaSet bool
+	// Beta is the memory-boundedness parameter in [0, 1]; nil selects the
+	// paper's default 0.5 (dimemas.ModelOptions).
+	Beta *float64
 	// FMax is the nominal top frequency (default dvfs.FMax when zero).
 	FMax float64
 	// RecordTimelines retains per-rank execution segments of both runs for
@@ -111,55 +103,19 @@ func (c *Config) normalize() error {
 	if c.Set == nil {
 		return core.ErrNilSet
 	}
-	return c.normalizeShared()
-}
-
-// normalizeShared validates and defaults the fields a batched analysis
-// shares across items — everything except the per-item gear set.
-func (c *Config) normalizeShared() error {
-	if c.Trace == nil {
-		return ErrNilTrace
-	}
-	if c.Platform == (dimemas.Platform{}) {
-		c.Platform = dimemas.DefaultPlatform()
-	}
-	if c.Power == (power.Config{}) {
-		c.Power = power.DefaultConfig()
-	}
-	if c.Beta < 0 || c.Beta > 1 || math.IsNaN(c.Beta) {
-		return fmt.Errorf("analysis: beta %v outside [0, 1]", c.Beta)
-	}
-	if c.Beta == 0 && !c.BetaSet {
-		// β = 0 is legal in the time model but means DVFS is free; every
-		// study in the paper uses β ≥ 0.3. The bare zero value therefore
-		// reads as "unset" for ergonomic configs — callers who really want
-		// a fully memory-bound run say so with BetaSet.
-		c.Beta = timemodel.DefaultBeta
-	}
-	if c.FMax == 0 {
-		c.FMax = dvfs.FMax
-	}
-	if c.FMax < 0 {
-		return fmt.Errorf("analysis: negative fmax %v", c.FMax)
-	}
 	return nil
 }
 
-// machine resolves the layered machine the pipeline replays on (call after
-// normalizeShared): the explicit Machine when configured, inheriting the
-// normalized Platform into a zero Base, or the flat homogeneous machine.
-func (c *Config) machine() (dimemas.Machine, error) {
-	if c.Machine == nil {
-		return dimemas.FlatMachine(c.Platform), nil
+// model resolves the replay options and the layered machine of a run
+// whose trace is known to be set.
+func (c *Config) model() (dimemas.Options, dimemas.Machine, error) {
+	opts, err := dimemas.ModelOptions(c.Beta, c.FMax)
+	if err != nil {
+		return opts, dimemas.Machine{}, err
 	}
-	m := *c.Machine
-	if m.Base == (dimemas.Platform{}) {
-		m.Base = c.Platform
-	}
-	if err := m.ValidateFor(c.Trace.NumRanks()); err != nil {
-		return dimemas.Machine{}, err
-	}
-	return m, nil
+	opts.Ctx = c.Ctx
+	m, err := dimemas.ResolveMachine(c.Platform, c.Machine, c.Trace.NumRanks())
+	return opts, m, err
 }
 
 // capFMaxes returns the machine's per-rank frequency ceilings for the
@@ -196,6 +152,11 @@ func run(cfg Config) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, stagerr.Wrap(stagerr.Validate, err)
 	}
+	simOpts, machine, err := cfg.model()
+	if err != nil {
+		return nil, stagerr.Wrap(stagerr.Validate, err)
+	}
+	simOpts.RecordTimeline = cfg.RecordTimelines
 	// Warm-cache runs touch no cancellation point inside the replays; bail
 	// out here so loops of Runs (batch serving, searches) stay responsive.
 	if cfg.Ctx != nil {
@@ -207,18 +168,12 @@ func run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	machine, err := cfg.machine()
-	if err != nil {
-		return nil, stagerr.Wrap(stagerr.Validate, err)
-	}
 
 	// Original execution: every rank at the nominal top frequency. A
 	// precomputed baseline short-circuits the replay; otherwise the cache
 	// (nil-safe: a nil cache simulates directly) memoizes it across runs.
-	simOpts := dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax, RecordTimeline: cfg.RecordTimelines, Ctx: cfg.Ctx}
 	orig := cfg.Baseline
 	if orig == nil {
-		var err error
 		orig, err = cfg.Cache.OriginalMachine(cfg.Trace, machine, simOpts)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: original replay: %w", err)
@@ -235,7 +190,7 @@ func run(cfg Config) (*Result, error) {
 
 	// Frequency assignment from the original per-process computation times,
 	// honoring per-rank frequency ceilings on heterogeneous machines.
-	balancer := &core.Balancer{Set: cfg.Set, Beta: cfg.Beta, FMax: cfg.FMax, Rounding: cfg.Rounding, FMaxes: capFMaxes(&machine)}
+	balancer := &core.Balancer{Set: cfg.Set, Beta: simOpts.Beta, FMax: simOpts.FMax, Rounding: cfg.Rounding, FMaxes: capFMaxes(&machine)}
 	assignment, err := balancer.Assign(cfg.Algorithm, orig.Compute)
 	if err != nil {
 		return nil, err
@@ -253,7 +208,7 @@ func run(cfg Config) (*Result, error) {
 
 	// Energy accounting: each CPU is powered for the whole run at its
 	// assigned gear; whatever is not computation is communication/wait.
-	nominal := dvfs.GearAt(cfg.FMax)
+	nominal := dvfs.GearAt(simOpts.FMax)
 	scales := powerScales(&machine)
 	origStats, err := runStats(pm, orig, uniformGears(len(orig.Compute), nominal), scales)
 	if err != nil {

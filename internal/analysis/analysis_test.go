@@ -45,7 +45,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Trace: imbalancedTrace(1)}); err == nil {
 		t.Error("nil set should fail")
 	}
-	if _, err := Run(Config{Trace: imbalancedTrace(1), Set: six, Beta: -1}); err == nil {
+	if _, err := Run(Config{Trace: imbalancedTrace(1), Set: six, Beta: betaPtr(-1)}); err == nil {
 		t.Error("negative beta should fail")
 	}
 	if _, err := Run(Config{Trace: imbalancedTrace(1), Set: six, FMax: -1}); err == nil {
@@ -216,15 +216,15 @@ func TestBTMZEndToEnd(t *testing.T) {
 }
 
 // TestExplicitBetaZeroHonored is the regression test for the zero-vs-default
-// ambiguity: BetaSet must let an explicit β = 0 (fully memory-bound) reach
-// the simulator unrewritten instead of being silently replaced by 0.5.
+// ambiguity: an explicit β = 0 (fully memory-bound) must reach the
+// simulator unrewritten instead of being silently replaced by 0.5.
 func TestExplicitBetaZeroHonored(t *testing.T) {
 	tr := imbalancedTrace(3)
 	set, err := dvfs.Uniform(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Trace: tr, Set: set, Algorithm: core.MAX, Beta: 0, BetaSet: true})
+	res, err := Run(Config{Trace: tr, Set: set, Algorithm: core.MAX, Beta: betaPtr(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestExplicitBetaZeroHonored(t *testing.T) {
 		t.Errorf("β=0 down-gearing should still save energy: new %v vs orig %v", res.New.Energy, res.Orig.Energy)
 	}
 
-	// The bare zero value keeps its ergonomic meaning: default 0.5, under
+	// A nil Beta keeps its ergonomic meaning: default 0.5, under
 	// which the critical rank must keep the top gear (β = 0 parks it at the
 	// bottom because computation no longer depends on frequency).
 	def, err := Run(Config{Trace: tr, Set: set, Algorithm: core.MAX})
@@ -258,7 +258,7 @@ func TestExplicitBetaZeroHonored(t *testing.T) {
 	}
 
 	// Out-of-range explicit betas still fail.
-	if _, err := Run(Config{Trace: tr, Set: set, Beta: 1.5, BetaSet: true}); err == nil {
+	if _, err := Run(Config{Trace: tr, Set: set, Beta: betaPtr(1.5)}); err == nil {
 		t.Error("beta > 1 should fail")
 	}
 }
@@ -278,3 +278,6 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	_ = dimemas.DefaultPlatform()
 }
+
+// betaPtr returns an explicit β for a config's optional Beta.
+func betaPtr(b float64) *float64 { return &b }

@@ -48,7 +48,11 @@ func RunBatch(cfg Config, items []BatchItem) (results []*Result, errs []error, e
 }
 
 func runBatch(cfg Config, items []BatchItem) ([]*Result, []error, error) {
-	if err := cfg.normalizeShared(); err != nil {
+	if cfg.Trace == nil {
+		return nil, nil, stagerr.Wrap(stagerr.Validate, ErrNilTrace)
+	}
+	simOpts, machine, err := cfg.model()
+	if err != nil {
 		return nil, nil, stagerr.Wrap(stagerr.Validate, err)
 	}
 	if cfg.RecordTimelines {
@@ -63,10 +67,6 @@ func runBatch(cfg Config, items []BatchItem) ([]*Result, []error, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	machine, err := cfg.machine()
-	if err != nil {
-		return nil, nil, stagerr.Wrap(stagerr.Validate, err)
-	}
 
 	// Shared stages, computed once. A nil cache gets a private one: the
 	// skeleton must be built regardless, and its retimings are bit-identical
@@ -75,7 +75,6 @@ func runBatch(cfg Config, items []BatchItem) ([]*Result, []error, error) {
 	if cache == nil {
 		cache = dimemas.NewReplayCache()
 	}
-	simOpts := dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax, Ctx: cfg.Ctx}
 	orig := cfg.Baseline
 	if orig == nil {
 		orig, err = cache.OriginalMachine(cfg.Trace, machine, simOpts)
@@ -95,7 +94,7 @@ func runBatch(cfg Config, items []BatchItem) ([]*Result, []error, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("analysis: timing skeleton: %w", err)
 	}
-	nominal := dvfs.GearAt(cfg.FMax)
+	nominal := dvfs.GearAt(simOpts.FMax)
 	scales := powerScales(&machine)
 	origStats, err := runStats(pm, orig, uniformGears(len(orig.Compute), nominal), scales)
 	if err != nil {
@@ -114,7 +113,7 @@ func runBatch(cfg Config, items []BatchItem) ([]*Result, []error, error) {
 			errs[i] = stagerr.Wrap(stagerr.Validate, core.ErrNilSet)
 			continue
 		}
-		balancer := &core.Balancer{Set: item.Set, Beta: cfg.Beta, FMax: cfg.FMax, Rounding: item.Rounding, FMaxes: capFMaxes(&machine)}
+		balancer := &core.Balancer{Set: item.Set, Beta: simOpts.Beta, FMax: simOpts.FMax, Rounding: item.Rounding, FMaxes: capFMaxes(&machine)}
 		a, err := balancer.Assign(item.Algorithm, orig.Compute)
 		if err != nil {
 			errs[i] = err

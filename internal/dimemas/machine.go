@@ -121,6 +121,28 @@ type Machine struct {
 // capability layer.
 func FlatMachine(p Platform) Machine { return Machine{Base: p} }
 
+// ResolveMachine is the one statement of how a pipeline config's platform
+// and optional machine resolve for an nranks-rank trace: a zero p means
+// DefaultPlatform, a nil m the flat machine on p, and an m with a zero Base
+// inherits p. The result is checked with ValidateFor, so errors carry the
+// validate stage.
+func ResolveMachine(p Platform, m *Machine, nranks int) (Machine, error) {
+	if p == (Platform{}) {
+		p = DefaultPlatform()
+	}
+	out := FlatMachine(p)
+	if m != nil {
+		out = *m
+		if out.Base == (Platform{}) {
+			out.Base = p
+		}
+	}
+	if err := out.ValidateFor(nranks); err != nil {
+		return Machine{}, err
+	}
+	return out, nil
+}
+
 // Flat reports whether the machine is the plain homogeneous flat platform.
 func (m *Machine) Flat() bool { return m.Topo == nil && m.Cap == nil }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/dvfs"
 	"repro/internal/stagerr"
 	"repro/internal/timemodel"
 	"repro/internal/trace"
@@ -54,7 +55,28 @@ type Options struct {
 // DefaultOptions returns the paper's baseline: β = 0.5, fmax = 2.3 GHz,
 // every rank at top frequency.
 func DefaultOptions() Options {
-	return Options{Beta: timemodel.DefaultBeta, FMax: 2.3}
+	return Options{Beta: timemodel.DefaultBeta, FMax: dvfs.FMax}
+}
+
+// ModelOptions is the one statement of how a pipeline config's time-model
+// parameters resolve. A nil beta selects the paper's default β = 0.5
+// (timemodel.DefaultBeta); an explicit β, 0 included, must lie in [0, 1].
+// β = 0 is legal in the time model but makes DVFS free, and every study in
+// the paper uses β ≥ 0.3, so a fully memory-bound run has to be asked for
+// with an explicit pointer rather than reached by a forgotten field. A zero
+// fmax selects dvfs.FMax. Errors carry the validate stage.
+func ModelOptions(beta *float64, fmax float64) (Options, error) {
+	o := Options{Beta: timemodel.DefaultBeta, FMax: fmax}
+	if beta != nil {
+		o.Beta = *beta
+	}
+	if o.FMax == 0 {
+		o.FMax = dvfs.FMax
+	}
+	if err := o.validateModel(); err != nil {
+		return Options{}, err
+	}
+	return o, nil
 }
 
 // validateModel checks the model parameters shared by Simulate and

@@ -35,7 +35,7 @@ func TestCachedBaselineByteIdentical(t *testing.T) {
 			Platform:  sharedSuite.Gen.Platform,
 			Set:       six,
 			Algorithm: core.MAX,
-			Beta:      sharedSuite.Beta,
+			Beta:      &sharedSuite.Beta,
 			FMax:      sharedSuite.Gen.FMax,
 		}
 		uncached, err := analysis.Run(cfg)
@@ -58,7 +58,7 @@ func TestCachedBaselineByteIdentical(t *testing.T) {
 		}
 
 		orig, err := cache.Original(tr, cfg.Platform,
-			dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax})
+			dimemas.Options{Beta: *cfg.Beta, FMax: cfg.FMax})
 		if err != nil {
 			t.Fatal(err)
 		}

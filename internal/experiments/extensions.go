@@ -45,7 +45,7 @@ func (s *Suite) JitterVsStatic() ([]JitterRow, error) {
 			Trace:    tr,
 			Platform: s.Gen.Platform,
 			Set:      six,
-			Beta:     s.Beta,
+			Beta:     &s.Beta,
 			FMax:     s.Gen.FMax,
 			Cache:    s.replays,
 		})
@@ -118,7 +118,7 @@ func (s *Suite) PerPhaseStudy() ([]PhasedRow, error) {
 			Trace:    tr,
 			Platform: s.Gen.Platform,
 			Set:      six,
-			Beta:     s.Beta,
+			Beta:     &s.Beta,
 			FMax:     s.Gen.FMax,
 			Cache:    s.replays,
 		})
@@ -173,7 +173,7 @@ func (s *Suite) AblateRounding() ([]AblationRow, error) {
 				Platform:  s.Gen.Platform,
 				Set:       six,
 				Algorithm: core.MAX,
-				Beta:      s.Beta,
+				Beta:      &s.Beta,
 				FMax:      s.Gen.FMax,
 				Rounding:  mode,
 			})
@@ -204,7 +204,7 @@ func (s *Suite) OptimizeGears(w io.Writer) error {
 		Traces:   traces,
 		NGears:   4,
 		Platform: s.Gen.Platform,
-		Beta:     s.Beta,
+		Beta:     &s.Beta,
 		FMax:     s.Gen.FMax,
 		Grid:     0.1,
 		Cache:    s.replays,

@@ -46,7 +46,7 @@ func (s *Suite) Scaling(app string, sizes []int) ([]ScalingRow, error) {
 			Platform:  s.Gen.Platform,
 			Set:       six,
 			Algorithm: core.MAX,
-			Beta:      s.Beta,
+			Beta:      &s.Beta,
 			FMax:      s.Gen.FMax,
 			Cache:     s.replays,
 		})
@@ -115,7 +115,7 @@ func (s *Suite) AblateProtocol() ([]AblationRow, error) {
 				Platform:  platform,
 				Set:       six,
 				Algorithm: core.MAX,
-				Beta:      s.Beta,
+				Beta:      &s.Beta,
 				FMax:      s.Gen.FMax,
 				Cache:     s.replays,
 			})
@@ -156,7 +156,7 @@ func (s *Suite) AblateCollectiveModel() ([]AblationRow, error) {
 				Platform:  platform,
 				Set:       six,
 				Algorithm: core.MAX,
-				Beta:      s.Beta,
+				Beta:      &s.Beta,
 				FMax:      s.Gen.FMax,
 				Cache:     s.replays,
 			})

@@ -103,7 +103,7 @@ func (s *Suite) Figure1(w io.Writer) error {
 		Platform:        s.Gen.Platform,
 		Set:             dvfs.ContinuousUnlimited(),
 		Algorithm:       core.MAX,
-		Beta:            s.Beta,
+		Beta:            &s.Beta,
 		FMax:            s.Gen.FMax,
 		RecordTimelines: true,
 		Cache:           s.replays,

@@ -233,8 +233,7 @@ func (s *Suite) HeteroPlacementSweep() ([]HeteroPlacementRow, error) {
 		res, err := placement.Optimize(placement.Config{
 			Trace:   sc.tr,
 			Machine: s.heteroTwoTierMachine(shuffledPl),
-			Beta:    s.Beta,
-			BetaSet: true,
+			Beta:    &s.Beta,
 			FMax:    s.Gen.FMax,
 		})
 		if err != nil {

@@ -60,7 +60,7 @@ func (s *Suite) PowercapSweep(app string, fracs []float64) ([]PowercapRow, error
 			Platform: s.Gen.Platform,
 			Set:      six,
 			Cap:      frac * uncappedPeak,
-			Beta:     s.Beta,
+			Beta:     &s.Beta,
 			FMax:     s.Gen.FMax,
 			Cache:    s.replays,
 		})

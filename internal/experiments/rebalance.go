@@ -186,7 +186,7 @@ func (s *Suite) rebalanceConfig(tr *trace.Trace, set *dvfs.Set, drift workload.D
 		Trace:            tr,
 		Platform:         s.Gen.Platform,
 		Set:              set,
-		Beta:             s.Beta,
+		Beta:             &s.Beta,
 		FMax:             s.Gen.FMax,
 		Iterations:       rebalanceIterations,
 		Drift:            drift,

@@ -141,17 +141,13 @@ func (s *Suite) variantConfig(tr *trace.Trace, v variant) analysis.Config {
 	if beta == 0 {
 		beta = s.Beta
 	}
-	pcfg := v.power
-	if pcfg == (power.Config{}) {
-		pcfg = power.DefaultConfig()
-	}
 	return analysis.Config{
 		Trace:     tr,
 		Platform:  s.Gen.Platform,
-		Power:     pcfg,
+		Power:     v.power,
 		Set:       v.set,
 		Algorithm: v.alg,
-		Beta:      beta,
+		Beta:      &beta,
 		FMax:      s.Gen.FMax,
 		Cache:     s.replays,
 	}

@@ -26,16 +26,20 @@ func benchSearcher(b *testing.B) (*searcher, []float64) {
 	if err := scfg.normalize(); err != nil {
 		b.Fatal(err)
 	}
-	s, err := newSearcher(scfg)
+	opts, err := dimemas.ModelOptions(scfg.Beta, scfg.FMax)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := newSearcher(scfg, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	freqs := make([]float64, scfg.NGears)
-	step := (scfg.FMax - dvfs.FMin) / float64(scfg.NGears-1)
+	step := (opts.FMax - dvfs.FMin) / float64(scfg.NGears-1)
 	for i := range freqs {
 		freqs[i] = dvfs.FMin + float64(i)*step
 	}
-	freqs[scfg.NGears-1] = scfg.FMax
+	freqs[scfg.NGears-1] = opts.FMax
 	return s, freqs
 }
 

@@ -26,7 +26,6 @@ import (
 	"repro/internal/dvfs"
 	"repro/internal/power"
 	"repro/internal/stagerr"
-	"repro/internal/timemodel"
 	"repro/internal/trace"
 )
 
@@ -38,20 +37,18 @@ type Config struct {
 	// pinned at FMax (the critical process must not slow down); all others
 	// move on the grid.
 	NGears int
-	// Platform, Power, Beta, FMax as elsewhere; zero values take defaults.
+	// Platform, Power, Beta, FMax as elsewhere; zero values (nil Beta)
+	// take defaults.
 	Platform dimemas.Platform
 	// Machine optionally layers topology and per-rank capability on top of
 	// Platform (nil means the flat homogeneous machine; a zero Base inherits
-	// the normalized Platform). The search then profiles and scores on the
+	// the Platform). The search then profiles and scores on the
 	// layered machine: replays resolve its topology, the per-application
 	// balancer honors per-rank frequency ceilings, and energy accounting
 	// applies per-rank power scales.
 	Machine *dimemas.Machine
 	Power   power.Config
-	Beta    float64
-	// BetaSet marks Beta as explicitly chosen, so an explicit Beta = 0
-	// is honored instead of defaulting to 0.5 (see analysis.Config).
-	BetaSet bool
+	Beta    *float64
 	FMax    float64
 	// Grid is the frequency step of the search lattice (default 0.05 GHz).
 	Grid float64
@@ -123,18 +120,6 @@ func (cfg *Config) normalize() error {
 	if cfg.NGears < 2 {
 		return fmt.Errorf("gearopt: need at least 2 gears, got %d", cfg.NGears)
 	}
-	if cfg.Platform == (dimemas.Platform{}) {
-		cfg.Platform = dimemas.DefaultPlatform()
-	}
-	if cfg.Power == (power.Config{}) {
-		cfg.Power = power.DefaultConfig()
-	}
-	if cfg.Beta == 0 && !cfg.BetaSet {
-		cfg.Beta = timemodel.DefaultBeta
-	}
-	if cfg.FMax == 0 {
-		cfg.FMax = dvfs.FMax
-	}
 	if cfg.Grid == 0 {
 		cfg.Grid = 0.05
 	}
@@ -147,47 +132,29 @@ func (cfg *Config) normalize() error {
 	return nil
 }
 
-// machine resolves the layered machine the search runs on (call after
-// normalize): the explicit Machine when configured, inheriting the
-// normalized Platform into a zero Base, or the flat homogeneous machine.
-// Per-trace rank-count validation happens in newSearcher.
-func (cfg *Config) machine() dimemas.Machine {
-	if cfg.Machine == nil {
-		return dimemas.FlatMachine(cfg.Platform)
-	}
-	m := *cfg.Machine
-	if m.Base == (dimemas.Platform{}) {
-		m.Base = cfg.Platform
-	}
-	return m
-}
-
 // newSearcher profiles every application once (baseline replay + timing
 // skeleton, both shared through the cache when one is configured) and
 // preallocates the per-evaluation buffers.
-func newSearcher(cfg Config) (*searcher, error) {
+func newSearcher(cfg Config, opts dimemas.Options) (*searcher, error) {
 	pm, err := power.New(cfg.Power)
 	if err != nil {
 		return nil, err
-	}
-	machine := cfg.machine()
-	var fmaxes, pscale []float64
-	if machine.Cap != nil {
-		fmaxes = machine.Cap.FMax
-		pscale = machine.Cap.PowerScale
 	}
 	s := &searcher{
 		cfg:      cfg,
 		profiles: make([]appProfile, len(cfg.Traces)),
 		pm:       pm,
-		pscale:   pscale,
-		bal:      core.Balancer{Beta: cfg.Beta, FMax: cfg.FMax, FMaxes: fmaxes},
+		bal:      core.Balancer{Beta: opts.Beta, FMax: opts.FMax},
 		gears:    make([]dvfs.Gear, cfg.NGears),
 	}
-	nominal := dvfs.GearAt(cfg.FMax)
-	opts := dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax, Ctx: cfg.Ctx}
+	if m := cfg.Machine; m != nil && m.Cap != nil {
+		s.bal.FMaxes = m.Cap.FMax
+		s.pscale = m.Cap.PowerScale
+	}
+	nominal := dvfs.GearAt(opts.FMax)
 	for i, tr := range cfg.Traces {
-		if err := machine.ValidateFor(tr.NumRanks()); err != nil {
+		machine, err := dimemas.ResolveMachine(cfg.Platform, cfg.Machine, tr.NumRanks())
+		if err != nil {
 			return nil, stagerr.Wrap(stagerr.Validate, fmt.Errorf("gearopt: trace %d: %w", i, err))
 		}
 		res, err := cfg.Cache.OriginalMachine(tr, machine, opts)
@@ -290,18 +257,23 @@ func optimize(cfg Config) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, stagerr.Wrap(stagerr.Validate, err)
 	}
-	s, err := newSearcher(cfg)
+	opts, err := dimemas.ModelOptions(cfg.Beta, cfg.FMax)
+	if err != nil {
+		return nil, err
+	}
+	opts.Ctx = cfg.Ctx
+	s, err := newSearcher(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
 
 	// Start from the uniform placement.
 	freqs := make([]float64, cfg.NGears)
-	step := (cfg.FMax - dvfs.FMin) / float64(cfg.NGears-1)
+	step := (opts.FMax - dvfs.FMin) / float64(cfg.NGears-1)
 	for i := range freqs {
 		freqs[i] = dvfs.FMin + float64(i)*step
 	}
-	freqs[cfg.NGears-1] = cfg.FMax
+	freqs[cfg.NGears-1] = opts.FMax
 	best, err := s.objective(freqs)
 	if err != nil {
 		return nil, err
@@ -396,7 +368,6 @@ func fullScore(cfg Config, set *dvfs.Set) (float64, error) {
 				Set:       set,
 				Algorithm: core.MAX,
 				Beta:      cfg.Beta,
-				BetaSet:   cfg.BetaSet,
 				FMax:      cfg.FMax,
 				Cache:     cfg.Cache,
 				Ctx:       cfg.Ctx,

@@ -33,12 +33,8 @@ type Config struct {
 	Set *dvfs.Set
 	// Power configures the CPU power model; zero value = paper baseline.
 	Power power.Config
-	// Beta is the memory-boundedness parameter (0 = DefaultBeta unless
-	// BetaSet).
-	Beta float64
-	// BetaSet marks Beta as explicitly chosen, so an explicit Beta = 0
-	// is honored instead of defaulting to 0.5 (see analysis.Config).
-	BetaSet bool
+	// Beta is the memory-boundedness parameter (nil = DefaultBeta).
+	Beta *float64
 	// FMax is the nominal top frequency (0 = dvfs.FMax).
 	FMax float64
 	// SlackDown is the relative-slack fraction (a node's slack minus the
@@ -88,21 +84,6 @@ func (c *Config) normalize() error {
 	if c.Set.Continuous() {
 		return ErrContinuousSet
 	}
-	if c.Platform == (dimemas.Platform{}) {
-		c.Platform = dimemas.DefaultPlatform()
-	}
-	if c.Power == (power.Config{}) {
-		c.Power = power.DefaultConfig()
-	}
-	if c.Beta == 0 && !c.BetaSet {
-		c.Beta = timemodel.DefaultBeta
-	}
-	if c.Beta < 0 || c.Beta > 1 {
-		return fmt.Errorf("jitter: beta %v outside [0, 1]", c.Beta)
-	}
-	if c.FMax == 0 {
-		c.FMax = dvfs.FMax
-	}
 	if c.SlackDown == 0 {
 		c.SlackDown = 0.08
 	}
@@ -120,11 +101,19 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
+	opts, err := dimemas.ModelOptions(cfg.Beta, cfg.FMax)
+	if err != nil {
+		return nil, err
+	}
 	iters := cfg.Trace.Iterations()
 	if iters == 0 {
 		return nil, ErrNoIterations
 	}
 	n := cfg.Trace.NumRanks()
+	machine, err := dimemas.ResolveMachine(cfg.Platform, nil, n)
+	if err != nil {
+		return nil, err
+	}
 	pm, err := power.New(cfg.Power)
 	if err != nil {
 		return nil, err
@@ -139,7 +128,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{Iterations: iters, FinalGears: make([]dvfs.Gear, n)}
-	nominal := dvfs.GearAt(cfg.FMax)
+	nominal := dvfs.GearAt(opts.FMax)
 
 	for it := 0; it < iters; it++ {
 		sub, err := cfg.Trace.Slice(it, it+1)
@@ -147,7 +136,7 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		// Original (profiling) replay of this iteration at fmax.
-		orig, err := cfg.Cache.OriginalSlice(cfg.Trace, it, sub, cfg.Platform, dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax})
+		orig, err := cfg.Cache.OriginalSlice(cfg.Trace, it, sub, machine.Base, opts)
 		if err != nil {
 			return nil, fmt.Errorf("jitter: iteration %d original replay: %w", it, err)
 		}
@@ -167,7 +156,9 @@ func Run(cfg Config) (*Result, error) {
 		for r := 0; r < n; r++ {
 			freqs[r] = gears[idx[r]].Freq
 		}
-		adapt, err := dimemas.Simulate(sub, cfg.Platform, dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax, Freqs: freqs})
+		adaptOpts := opts
+		adaptOpts.Freqs = freqs
+		adapt, err := dimemas.Simulate(sub, machine.Base, adaptOpts)
 		if err != nil {
 			return nil, fmt.Errorf("jitter: iteration %d adaptive replay: %w", it, err)
 		}
@@ -206,8 +197,8 @@ func Run(cfg Config) (*Result, error) {
 					// still fits inside the iteration with margin.
 					// Without this, ranks near the critical path oscillate
 					// between gears and stretch the run.
-					cur := timemodel.Slowdown(cfg.Beta, cfg.FMax, gears[idx[r]].Freq)
-					next := timemodel.Slowdown(cfg.Beta, cfg.FMax, gears[idx[r]-1].Freq)
+					cur := timemodel.Slowdown(opts.Beta, opts.FMax, gears[idx[r]].Freq)
+					next := timemodel.Slowdown(opts.Beta, opts.FMax, gears[idx[r]-1].Freq)
 					predicted := adapt.Compute[r] * next / cur
 					if predicted < adapt.Time*(1-cfg.SlackUp) {
 						idx[r]--

@@ -44,7 +44,7 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(Config{Trace: noIter, Set: six}); !errors.Is(err, ErrNoIterations) {
 		t.Errorf("no iterations: %v", err)
 	}
-	if _, err := Run(Config{Trace: imbalancedTrace(2), Set: six, Beta: 2}); err == nil {
+	if _, err := Run(Config{Trace: imbalancedTrace(2), Set: six, Beta: betaPtr(2)}); err == nil {
 		t.Error("bad beta should fail")
 	}
 	if _, err := Run(Config{Trace: imbalancedTrace(2), Set: six, SlackUp: 0.5, SlackDown: 0.1}); err == nil {
@@ -198,3 +198,6 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 		t.Errorf("cache holds %d replays, want one per iteration (%d)", got, tr.Iterations())
 	}
 }
+
+// betaPtr returns an explicit β for a config's optional Beta.
+func betaPtr(b float64) *float64 { return &b }

@@ -20,6 +20,7 @@ func TestReadMalformedInputs(t *testing.T) {
 		{"not a paraver header", "#NotParaver whatever\n"},
 		{"non-numeric task count", "#Paraver (x):100:1(2):1:zero(1:1)\n"},
 		{"zero task count", "#Paraver (x):100:1(2):1:0(1:1)\n"},
+		{"task count above trace.MaxRanks", "#Paraver (x):100:1(2):1:50000000(1:1)\n1:1:1:1:1:0:100:1\n"},
 		{"truncated header", "#Paraver (x):100\n"},
 		{"truncated state record", sampleHeader + "1:1:1:1:1:0:100\n"},
 		{"non-numeric task", sampleHeader + "1:1:1:x:1:0:100:1\n"},
@@ -84,6 +85,7 @@ func FuzzRead(f *testing.F) {
 	f.Add(sampleHeader + "9:whatever\n# comment\nc communicator\n")
 	f.Add("")
 	f.Add("#Paraver (x):100\n")
+	f.Add("#Paraver (x):100:1(2):1:50000000(1:1)\n1:1:1:1:1:0:100:1\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		tr, err := Read(strings.NewReader(in))
 		if err != nil {

@@ -163,6 +163,9 @@ func parseHeader(h string) (int, error) {
 	if err != nil || ntasks <= 0 {
 		return 0, fmt.Errorf("%w: bad task count %q", ErrBadHeader, appl)
 	}
+	if ntasks > trace.MaxRanks {
+		return 0, fmt.Errorf("%w: %d tasks, above the limit %d", ErrBadHeader, ntasks, trace.MaxRanks)
+	}
 	return ntasks, nil
 }
 

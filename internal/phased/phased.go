@@ -36,12 +36,10 @@ type Config struct {
 	Power    power.Config
 	// Set is the available gear set (no over-clocking: the per-phase
 	// algorithm is a MAX variant).
-	Set  *dvfs.Set
-	Beta float64
-	// BetaSet marks Beta as explicitly chosen, so an explicit Beta = 0
-	// is honored instead of defaulting to 0.5 (see analysis.Config).
-	BetaSet bool
-	FMax    float64
+	Set *dvfs.Set
+	// Beta is the memory-boundedness parameter (nil = DefaultBeta).
+	Beta *float64
+	FMax float64
 	// Cache optionally memoizes the original (all-ranks-at-FMax) replay so
 	// per-phase studies sharing traces with other pipelines skip it. Nil
 	// means uncached.
@@ -72,21 +70,6 @@ func (c *Config) normalize() error {
 	if c.Set == nil {
 		return core.ErrNilSet
 	}
-	if c.Platform == (dimemas.Platform{}) {
-		c.Platform = dimemas.DefaultPlatform()
-	}
-	if c.Power == (power.Config{}) {
-		c.Power = power.DefaultConfig()
-	}
-	if c.Beta == 0 && !c.BetaSet {
-		c.Beta = timemodel.DefaultBeta
-	}
-	if c.Beta < 0 || c.Beta > 1 {
-		return fmt.Errorf("phased: beta %v outside [0, 1]", c.Beta)
-	}
-	if c.FMax == 0 {
-		c.FMax = dvfs.FMax
-	}
 	return nil
 }
 
@@ -95,18 +78,26 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
+	opts, err := dimemas.ModelOptions(cfg.Beta, cfg.FMax)
+	if err != nil {
+		return nil, err
+	}
+	n := cfg.Trace.NumRanks()
+	machine, err := dimemas.ResolveMachine(cfg.Platform, nil, n)
+	if err != nil {
+		return nil, err
+	}
 	pm, err := power.New(cfg.Power)
 	if err != nil {
 		return nil, err
 	}
 
 	// Original execution at fmax.
-	orig, err := cfg.Cache.Original(cfg.Trace, cfg.Platform, dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax})
+	orig, err := cfg.Cache.Original(cfg.Trace, machine.Base, opts)
 	if err != nil {
 		return nil, fmt.Errorf("phased: original replay: %w", err)
 	}
-	nominal := dvfs.GearAt(cfg.FMax)
-	n := cfg.Trace.NumRanks()
+	nominal := dvfs.GearAt(opts.FMax)
 	origUsage := make([]power.Usage, n)
 	for r := 0; r < n; r++ {
 		origUsage[r] = power.Usage{Gear: nominal, ComputeTime: orig.Compute[r], CommTime: orig.Comm(r)}
@@ -121,7 +112,7 @@ func Run(cfg Config) (*Result, error) {
 	if len(phases) == 0 {
 		return nil, ErrNoPhases
 	}
-	balancer := &core.Balancer{Set: cfg.Set, Beta: cfg.Beta, FMax: cfg.FMax}
+	balancer := &core.Balancer{Set: cfg.Set, Beta: opts.Beta, FMax: opts.FMax}
 	gears := make([][]dvfs.Gear, len(phases))
 	for p, comp := range phases {
 		a, err := balancer.Assign(core.MAX, comp)
@@ -138,9 +129,9 @@ func Run(cfg Config) (*Result, error) {
 		if phase >= len(gears) {
 			phase = len(gears) - 1
 		}
-		return timemodel.Slowdown(cfg.Beta, cfg.FMax, gears[phase][rank].Freq)
+		return timemodel.Slowdown(opts.Beta, opts.FMax, gears[phase][rank].Freq)
 	})
-	next, err := dimemas.Simulate(scaled, cfg.Platform, dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax})
+	next, err := dimemas.Simulate(scaled, machine.Base, opts)
 	if err != nil {
 		return nil, fmt.Errorf("phased: DVFS replay: %w", err)
 	}

@@ -42,7 +42,7 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(Config{Trace: empty, Set: six}); !errors.Is(err, ErrNoPhases) {
 		t.Errorf("no phases: %v", err)
 	}
-	if _, err := Run(Config{Trace: twoPhaseTrace(1), Set: six, Beta: 3}); err == nil {
+	if _, err := Run(Config{Trace: twoPhaseTrace(1), Set: six, Beta: betaPtr(3)}); err == nil {
 		t.Error("bad beta should fail")
 	}
 }
@@ -176,3 +176,6 @@ func TestPhaseComputeTimesHelper(t *testing.T) {
 		t.Errorf("rank 0 phase totals = %v, %v", phases[0][0], phases[1][0])
 	}
 }
+
+// betaPtr returns an explicit β for a config's optional Beta.
+func betaPtr(b float64) *float64 { return &b }

@@ -18,13 +18,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/dimemas"
-	"repro/internal/dvfs"
 	"repro/internal/stagerr"
-	"repro/internal/timemodel"
 	"repro/internal/trace"
 )
 
@@ -40,11 +37,9 @@ type Config struct {
 	// Freqs optionally fixes per-rank frequencies for the scoring replays
 	// (e.g. a gear assignment being co-optimized); nil scores at FMax.
 	Freqs []float64
-	// Beta is the memory-boundedness parameter; the zero value selects the
-	// paper's default 0.5 unless BetaSet is true (see analysis.Config).
-	Beta float64
-	// BetaSet marks Beta as explicitly chosen, honoring an explicit 0.
-	BetaSet bool
+	// Beta is the memory-boundedness parameter; nil selects the paper's
+	// default 0.5 (dimemas.ModelOptions).
+	Beta *float64
 	// FMax is the nominal top frequency (default dvfs.FMax when zero).
 	FMax float64
 	// MaxPasses bounds the sweep count of the local search (default 4).
@@ -83,18 +78,6 @@ func (c *Config) normalize() error {
 	if c.Machine.Topo == nil {
 		return ErrNoTopology
 	}
-	if c.Beta < 0 || c.Beta > 1 || math.IsNaN(c.Beta) {
-		return fmt.Errorf("placement: beta %v outside [0, 1]", c.Beta)
-	}
-	if c.Beta == 0 && !c.BetaSet {
-		c.Beta = timemodel.DefaultBeta
-	}
-	if c.FMax == 0 {
-		c.FMax = dvfs.FMax
-	}
-	if c.FMax < 0 {
-		return fmt.Errorf("placement: negative fmax %v", c.FMax)
-	}
 	if c.MaxPasses == 0 {
 		c.MaxPasses = 4
 	}
@@ -127,6 +110,11 @@ func optimize(cfg Config) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, stagerr.Wrap(stagerr.Validate, err)
 	}
+	opts, err := dimemas.ModelOptions(cfg.Beta, cfg.FMax)
+	if err != nil {
+		return nil, err
+	}
+	opts.Freqs, opts.Ctx = cfg.Freqs, cfg.Ctx
 
 	// Private working copy: the search mutates cand.Topo.Placement in place
 	// and must not leak writes into the caller's machine.
@@ -137,7 +125,6 @@ func optimize(cfg Config) (*Result, error) {
 	pl := topo.Placement
 	n := len(pl)
 
-	opts := dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax, Freqs: cfg.Freqs, Ctx: cfg.Ctx}
 	evals := 0
 	score := func() (float64, error) {
 		if cfg.Ctx != nil {

@@ -144,7 +144,7 @@ func TestOptimizeValidation(t *testing.T) {
 	}{
 		{"nil trace", Config{Machine: twoTierMachine(dimemas.BlockPlacement(4, 2))}},
 		{"no topology", Config{Trace: tr, Machine: flat}},
-		{"bad beta", Config{Trace: tr, Machine: twoTierMachine(dimemas.BlockPlacement(4, 2)), Beta: 1.5}},
+		{"bad beta", Config{Trace: tr, Machine: twoTierMachine(dimemas.BlockPlacement(4, 2)), Beta: betaPtr(1.5)}},
 		{"bad freqs", Config{Trace: tr, Machine: twoTierMachine(dimemas.BlockPlacement(4, 2)), Freqs: []float64{2.3}}},
 		{"negative passes", Config{Trace: tr, Machine: twoTierMachine(dimemas.BlockPlacement(4, 2)), MaxPasses: -1}},
 		{"short placement", Config{Trace: tr, Machine: twoTierMachine(dimemas.BlockPlacement(3, 2))}},
@@ -213,3 +213,6 @@ func BenchmarkOptimizePairs(b *testing.B) {
 		}
 	}
 }
+
+// betaPtr returns an explicit β for a config's optional Beta.
+func betaPtr(b float64) *float64 { return &b }

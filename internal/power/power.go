@@ -84,8 +84,11 @@ var (
 	ErrBadStatic = errors.New("power: static fraction must be in [0, 1)")
 )
 
-// New builds and calibrates a model.
+// New builds and calibrates a model. The zero Config means DefaultConfig.
 func New(cfg Config) (*Model, error) {
+	if cfg == (Config{}) {
+		cfg = DefaultConfig()
+	}
 	if cfg.Nominal.Freq == 0 {
 		cfg.Nominal = dvfs.GearAt(dvfs.FMax)
 	}

@@ -106,7 +106,7 @@ type Config struct {
 	// Capability.PowerScale (in the cap accounting, the energy scores, and
 	// the reported profiles), and per-rank frequency ceilings
 	// (Capability.FMax) bound which gears each rank may be assigned. A
-	// Machine with a zero Base inherits the normalized Platform.
+	// Machine with a zero Base inherits the Platform.
 	Machine *dimemas.Machine
 	// Power configures the CPU power model; zero value means the paper's
 	// baseline. The cap is expressed in this model's units.
@@ -118,11 +118,9 @@ type Config struct {
 	Cap float64
 	// Kind selects a peak (default) or time-averaged budget.
 	Kind CapKind
-	// Beta is the memory-boundedness parameter; the zero value selects the
-	// paper's default 0.5 unless BetaSet is true (see analysis.Config).
-	Beta float64
-	// BetaSet marks Beta as explicitly chosen, honoring an explicit 0.
-	BetaSet bool
+	// Beta is the memory-boundedness parameter; nil selects the paper's
+	// default 0.5 (dimemas.ModelOptions).
+	Beta *float64
 	// FMax is the nominal top frequency (default dvfs.FMax when zero).
 	FMax float64
 	// MaxMoves bounds the refinement moves of the redistribution policy
@@ -227,51 +225,17 @@ func (c *Config) normalize() error {
 	if c.Kind < CapPeak || c.Kind > maxCapKind {
 		return fmt.Errorf("powercap: unknown cap kind %d", int(c.Kind))
 	}
-	if c.Platform == (dimemas.Platform{}) {
-		c.Platform = dimemas.DefaultPlatform()
-	}
-	if c.Power == (power.Config{}) {
-		c.Power = power.DefaultConfig()
-	}
-	if c.Beta < 0 || c.Beta > 1 || math.IsNaN(c.Beta) {
-		return fmt.Errorf("powercap: beta %v outside [0, 1]", c.Beta)
-	}
-	if c.Beta == 0 && !c.BetaSet {
-		c.Beta = timemodel.DefaultBeta
-	}
-	if c.FMax == 0 {
-		c.FMax = dvfs.FMax
-	}
-	if c.FMax < 0 {
-		return fmt.Errorf("powercap: negative fmax %v", c.FMax)
-	}
 	if c.MaxMoves < 0 {
 		return fmt.Errorf("powercap: negative max moves %d", c.MaxMoves)
 	}
 	return nil
 }
 
-// machine resolves the layered machine the run schedules for: the explicit
-// Machine when configured (inheriting the normalized Platform into a zero
-// Base), the flat homogeneous machine otherwise. Call after normalize.
-func (c *Config) machine() (dimemas.Machine, error) {
-	if c.Machine == nil {
-		return dimemas.FlatMachine(c.Platform), nil
-	}
-	m := *c.Machine
-	if m.Base == (dimemas.Platform{}) {
-		m.Base = c.Platform
-	}
-	if err := m.ValidateFor(c.Trace.NumRanks()); err != nil {
-		return dimemas.Machine{}, err
-	}
-	return m, nil
-}
-
 // scheduler carries one run's state: the frequency-independent inputs, the
 // per-gear constants, and the reusable evaluation buffers.
 type scheduler struct {
 	cfg      *Config
+	opts     dimemas.Options // resolved β and FMax, with the run's Ctx
 	machine  dimemas.Machine
 	pm       *power.Model
 	gears    []dvfs.Gear // ascending
@@ -307,16 +271,20 @@ func run(cfg Config) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, stagerr.Wrap(stagerr.Validate, err)
 	}
+	opts, err := dimemas.ModelOptions(cfg.Beta, cfg.FMax)
+	if err != nil {
+		return nil, err
+	}
+	opts.Ctx = cfg.Ctx
 	pm, err := power.New(cfg.Power)
 	if err != nil {
 		return nil, err
 	}
-	machine, err := cfg.machine()
+	machine, err := dimemas.ResolveMachine(cfg.Platform, cfg.Machine, cfg.Trace.NumRanks())
 	if err != nil {
-		return nil, stagerr.Wrap(stagerr.Validate, err)
+		return nil, err
 	}
 
-	opts := dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax, Ctx: cfg.Ctx}
 	tlOpts := opts
 	tlOpts.RecordTimeline = true
 	var (
@@ -346,6 +314,7 @@ func run(cfg Config) (*Result, error) {
 	gears := cfg.Set.Gears()
 	s := &scheduler{
 		cfg:      &cfg,
+		opts:     opts,
 		machine:  machine,
 		pm:       pm,
 		gears:    gears,
@@ -365,7 +334,7 @@ func run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("powercap: invalid gear %v in set %s", g, cfg.Set.Name())
 		}
 		s.pComp[gi] = pm.Power(power.Compute, g)
-		s.sd[gi] = timemodel.Slowdown(cfg.Beta, cfg.FMax, g.Freq)
+		s.sd[gi] = timemodel.Slowdown(opts.Beta, opts.FMax, g.Freq)
 	}
 	if cap := machine.Cap; cap != nil {
 		if cap.PowerScale != nil {
@@ -393,7 +362,7 @@ func run(cfg Config) (*Result, error) {
 	}
 
 	// Uncapped reference: every rank at the nominal FMax gear.
-	nominal := dvfs.GearAt(cfg.FMax)
+	nominal := dvfs.GearAt(opts.FMax)
 	nomGears := make([]dvfs.Gear, n)
 	for r := range nomGears {
 		nomGears[r] = nominal
@@ -462,7 +431,8 @@ func (s *scheduler) evaluate(idx []int) (time, energy float64, err error) {
 	}
 	res := &s.res
 	if s.cfg.FreshReplays {
-		opts := dimemas.Options{Beta: s.cfg.Beta, FMax: s.cfg.FMax, Freqs: s.freqs, Ctx: s.cfg.Ctx}
+		opts := s.opts
+		opts.Freqs = s.freqs
 		fresh, err := dimemas.SimulateMachine(s.cfg.Trace, s.machine, opts)
 		if err != nil {
 			return 0, 0, err
@@ -788,7 +758,8 @@ func (s *scheduler) finish(policy Policy, idx []int, ref RefStats) (*Schedule, e
 		err error
 	)
 	if s.cfg.FreshReplays {
-		opts := dimemas.Options{Beta: s.cfg.Beta, FMax: s.cfg.FMax, Freqs: freqs, RecordTimeline: true, Ctx: s.cfg.Ctx}
+		opts := s.opts
+		opts.Freqs, opts.RecordTimeline = freqs, true
 		res, err = dimemas.SimulateMachine(s.cfg.Trace, s.machine, opts)
 	} else {
 		res, err = s.skel.Retime(freqs, true)

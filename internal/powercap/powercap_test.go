@@ -208,7 +208,7 @@ func TestBetaZeroPrefersEnergy(t *testing.T) {
 	tr := imbalancedTrace(2)
 	set := sixGears(t)
 	cap := 4 * computePower(t, dvfs.FMax) // loose: even all-top fits
-	res, err := Run(Config{Trace: tr, Set: set, Cap: cap, Beta: 0, BetaSet: true, Cache: dimemas.NewReplayCache()})
+	res, err := Run(Config{Trace: tr, Set: set, Cap: cap, Beta: betaPtr(0), Cache: dimemas.NewReplayCache()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +253,8 @@ func TestRunValidation(t *testing.T) {
 		{"nan cap", Config{Trace: tr, Set: set, Cap: math.NaN()}},
 		{"inf cap", Config{Trace: tr, Set: set, Cap: math.Inf(1)}},
 		{"bad kind", Config{Trace: tr, Set: set, Cap: 1, Kind: CapKind(7)}},
-		{"negative beta", Config{Trace: tr, Set: set, Cap: 1, Beta: -0.5}},
-		{"beta above one", Config{Trace: tr, Set: set, Cap: 1, Beta: 1.5}},
+		{"negative beta", Config{Trace: tr, Set: set, Cap: 1, Beta: betaPtr(-0.5)}},
+		{"beta above one", Config{Trace: tr, Set: set, Cap: 1, Beta: betaPtr(1.5)}},
 		{"negative fmax", Config{Trace: tr, Set: set, Cap: 1, FMax: -2}},
 		{"negative moves", Config{Trace: tr, Set: set, Cap: 1, MaxMoves: -1}},
 	}
@@ -382,3 +382,6 @@ func TestCapKindNames(t *testing.T) {
 		t.Errorf("out-of-range kind stringified as %q, want the CapKind(n) fallback", s)
 	}
 }
+
+// betaPtr returns an explicit β for a config's optional Beta.
+func betaPtr(b float64) *float64 { return &b }

@@ -158,7 +158,7 @@ type Config struct {
 	Platform dimemas.Platform
 	// Machine optionally layers topology and per-rank capability on top of
 	// Platform (nil means the flat homogeneous machine; a zero Base inherits
-	// the normalized Platform). The closed loop then replays on the layered
+	// the Platform). The closed loop then replays on the layered
 	// machine, re-solves honor per-rank frequency ceilings, the capped
 	// policy schedules with per-rank power scales, and the energy/peak
 	// accounting multiplies each rank's draw by Capability.PowerScale.
@@ -172,11 +172,9 @@ type Config struct {
 	// Algorithm selects the balancing rule used on each re-solve (MAX or
 	// AVG); ignored by PolicyCapped, which schedules under the budget.
 	Algorithm core.Algorithm
-	// Beta is the memory-boundedness parameter; the zero value selects the
-	// paper's default 0.5 unless BetaSet is true (see analysis.Config).
-	Beta float64
-	// BetaSet marks Beta as explicitly chosen, honoring an explicit 0.
-	BetaSet bool
+	// Beta is the memory-boundedness parameter; nil selects the paper's
+	// default 0.5 (dimemas.ModelOptions).
+	Beta *float64
 	// FMax is the nominal top frequency (default dvfs.FMax when zero).
 	FMax float64
 	// Iterations is the number of online iterations to simulate (default
@@ -321,24 +319,6 @@ func (c *Config) normalize() error {
 	if c.Set == nil {
 		return core.ErrNilSet
 	}
-	if c.Platform == (dimemas.Platform{}) {
-		c.Platform = dimemas.DefaultPlatform()
-	}
-	if c.Power == (power.Config{}) {
-		c.Power = power.DefaultConfig()
-	}
-	if c.Beta < 0 || c.Beta > 1 || math.IsNaN(c.Beta) {
-		return fmt.Errorf("rebalance: beta %v outside [0, 1]", c.Beta)
-	}
-	if c.Beta == 0 && !c.BetaSet {
-		c.Beta = timemodel.DefaultBeta
-	}
-	if c.FMax == 0 {
-		c.FMax = dvfs.FMax
-	}
-	if c.FMax < 0 {
-		return fmt.Errorf("rebalance: negative fmax %v", c.FMax)
-	}
 	if c.Iterations == 0 {
 		c.Iterations = 20
 	}
@@ -409,6 +389,7 @@ func (c *Config) normalize() error {
 // loop carries one run's state.
 type loop struct {
 	cfg      *Config
+	opts     dimemas.Options // resolved β and FMax, with the run's Ctx
 	pm       *power.Model
 	machine  dimemas.Machine
 	base     *trace.Trace // the base iteration (iteration 0 of cfg.Trace)
@@ -456,6 +437,11 @@ func run(cfg Config) (*Result, error) {
 	if cfg.Trace.Iterations() == 0 {
 		return nil, stagerr.Wrap(stagerr.Validate, ErrNoIterations)
 	}
+	opts, err := dimemas.ModelOptions(cfg.Beta, cfg.FMax)
+	if err != nil {
+		return nil, err
+	}
+	opts.Ctx = cfg.Ctx
 	pm, err := power.New(cfg.Power)
 	if err != nil {
 		return nil, err
@@ -465,20 +451,14 @@ func run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	n := base.NumRanks()
-	machine := dimemas.FlatMachine(cfg.Platform)
-	if cfg.Machine != nil {
-		machine = *cfg.Machine
-		if machine.Base == (dimemas.Platform{}) {
-			machine.Base = cfg.Platform
-		}
-		if err := machine.ValidateFor(n); err != nil {
-			return nil, stagerr.Wrap(stagerr.Validate, err)
-		}
+	machine, err := dimemas.ResolveMachine(cfg.Platform, cfg.Machine, n)
+	if err != nil {
+		return nil, err
 	}
-	opts := dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax, Ctx: cfg.Ctx}
 
 	l := &loop{
 		cfg:      &cfg,
+		opts:     opts,
 		pm:       pm,
 		machine:  machine,
 		base:     base,
@@ -518,7 +498,7 @@ func run(cfg Config) (*Result, error) {
 	// Initial gears: the profiling iteration runs at the nominal top
 	// frequency — except under a cap, which must hold from the first
 	// iteration: the cold start is the blind governor's uniform downshift.
-	nominal := dvfs.GearAt(cfg.FMax)
+	nominal := dvfs.GearAt(opts.FMax)
 	nomGears := make([]dvfs.Gear, n)
 	l.gears = make([]dvfs.Gear, n)
 	for r := range l.gears {
@@ -727,7 +707,7 @@ func run(cfg Config) (*Result, error) {
 func (l *loop) syncGearState() {
 	for r, g := range l.gears {
 		l.freqs[r] = g.Freq
-		l.sd[r] = timemodel.Slowdown(l.cfg.Beta, l.cfg.FMax, g.Freq)
+		l.sd[r] = timemodel.Slowdown(l.opts.Beta, l.opts.FMax, g.Freq)
 	}
 }
 
@@ -738,7 +718,8 @@ func (l *loop) replay(scale []float64) (exec, ref *dimemas.Result, err error) {
 	cfg := l.cfg
 	if cfg.FreshReplays {
 		drifted := l.base.ScaleCompute(func(r int, _ trace.Record) float64 { return scale[r] })
-		opts := dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax, Freqs: l.freqs, RecordTimeline: cfg.ExactPeaks, Ctx: cfg.Ctx}
+		opts := l.opts
+		opts.Freqs, opts.RecordTimeline = l.freqs, cfg.ExactPeaks
 		exec, err = dimemas.SimulateMachine(drifted, l.machine, opts)
 		if err != nil {
 			return nil, nil, err
@@ -801,7 +782,7 @@ func (l *loop) solve() ([]dvfs.Gear, error) {
 	if l.machine.Cap != nil {
 		fmaxes = l.machine.Cap.FMax
 	}
-	balancer := &core.Balancer{Set: cfg.Set, Beta: cfg.Beta, FMax: cfg.FMax, Margin: cfg.Margin, FMaxes: fmaxes}
+	balancer := &core.Balancer{Set: cfg.Set, Beta: l.opts.Beta, FMax: l.opts.FMax, Margin: cfg.Margin, FMaxes: fmaxes}
 	a, err := balancer.Assign(cfg.Algorithm, loads)
 	if err != nil {
 		return nil, err
@@ -838,7 +819,6 @@ func (l *loop) solveCapped(loads []float64) ([]dvfs.Gear, error) {
 		Cap:      cfg.Cap,
 		Kind:     powercap.CapPeak,
 		Beta:     cfg.Beta,
-		BetaSet:  true,
 		FMax:     cfg.FMax,
 		// Under FreshReplays the whole loop — including every re-solve's
 		// candidate scoring — runs on fresh Simulate calls; results are

@@ -330,8 +330,8 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"nil trace", func(c *Config) { c.Trace = nil }},
 		{"nil set", func(c *Config) { c.Set = nil }},
-		{"beta out of range", func(c *Config) { c.Beta = 1.5 }},
-		{"NaN beta", func(c *Config) { c.Beta = math.NaN() }},
+		{"beta out of range", func(c *Config) { c.Beta = betaPtr(1.5) }},
+		{"NaN beta", func(c *Config) { c.Beta = betaPtr(math.NaN()) }},
 		{"negative fmax", func(c *Config) { c.FMax = -1 }},
 		{"negative iterations", func(c *Config) { c.Iterations = -1 }},
 		{"unknown policy", func(c *Config) { c.Policy = Policy(9) }},
@@ -409,3 +409,6 @@ func TestSkeletonSharedAcrossRuns(t *testing.T) {
 		t.Errorf("second run added %d skeleton misses, want 0", st.Misses-misses)
 	}
 }
+
+// betaPtr returns an explicit β for a config's optional Beta.
+func betaPtr(b float64) *float64 { return &b }

@@ -106,6 +106,26 @@ func TestErrorEnvelopeStages(t *testing.T) {
 	}
 }
 
+// TestHugeInlineRankCountRejected is the regression test for an inline
+// trace whose header demands unbounded memory: a 50M-rank header used to
+// cost over a gigabyte of allocation before any check ran. It must now
+// answer 400 at the parse stage, fast.
+func TestHugeInlineRankCountRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	start := time.Now()
+	resp := postRaw(t, ts.URL+"/v1/replay", `{"trace": {"text": "#PWRTRACE v1 app=x ranks=50000000\nc 0 1\n"}}`, nil)
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	if eb := envelope(t, resp); eb.Stage != string(stagerr.Parse) {
+		t.Errorf("stage = %q, want parse (error: %s)", eb.Stage, eb.Error)
+	}
+	if elapsed > time.Second {
+		t.Errorf("rejection took %v, want under a second", elapsed)
+	}
+}
+
 // TestTimeoutEnvelope proves the 504 answer is a full envelope.
 func TestTimeoutEnvelope(t *testing.T) {
 	_, ts := newTestServer(t, Config{RequestTimeout: time.Nanosecond})

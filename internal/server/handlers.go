@@ -127,8 +127,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		beta, betaSet, err := req.betaArg()
-		if err != nil {
+		if err := req.validate(); err != nil {
 			return nil, err
 		}
 		platform, machine, err := req.Platform.resolve(s.platform, tr.NumRanks())
@@ -140,11 +139,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 				Trace:     tr,
 				Platform:  platform,
 				Machine:   machine,
-				Power:     s.power,
 				Set:       set,
 				Algorithm: algo,
-				Beta:      beta,
-				BetaSet:   betaSet,
+				Beta:      req.Beta,
 				FMax:      req.FMax,
 				Cache:     s.cacheFor(nil, req.Trace),
 				Ctx:       ctx,
@@ -185,8 +182,7 @@ func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		beta, betaSet, err := req.betaArg()
-		if err != nil {
+		if err := req.validate(); err != nil {
 			return nil, err
 		}
 		platform, machine, err := req.Platform.resolve(s.platform, tr.NumRanks())
@@ -226,9 +222,7 @@ func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 					Trace:    tr,
 					Platform: platform,
 					Machine:  machine,
-					Power:    s.power,
-					Beta:     beta,
-					BetaSet:  betaSet,
+					Beta:     req.Beta,
 					FMax:     req.FMax,
 					// An inline trace still shares its baseline + skeleton
 					// across the batch's items — through a request-local cache
@@ -296,8 +290,7 @@ func (s *Server) handleGearOpt(w http.ResponseWriter, r *http.Request) {
 		if ngears > MaxGears {
 			return nil, errGearCount(ngears)
 		}
-		beta, betaSet, err := req.betaArg()
-		if err != nil {
+		if err := req.validate(); err != nil {
 			return nil, err
 		}
 		platform, machine, err := req.Platform.resolve(s.platform, traces[0].NumRanks())
@@ -310,9 +303,7 @@ func (s *Server) handleGearOpt(w http.ResponseWriter, r *http.Request) {
 				NGears:    ngears,
 				Platform:  platform,
 				Machine:   machine,
-				Power:     s.power,
-				Beta:      beta,
-				BetaSet:   betaSet,
+				Beta:      req.Beta,
 				FMax:      req.FMax,
 				Grid:      req.Grid,
 				MaxRounds: req.MaxRounds,
@@ -362,8 +353,7 @@ func (s *Server) handlePowercap(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		beta, betaSet, err := req.betaArg()
-		if err != nil {
+		if err := req.validate(); err != nil {
 			return nil, err
 		}
 		platform, machine, err := req.Platform.resolve(s.platform, tr.NumRanks())
@@ -375,12 +365,10 @@ func (s *Server) handlePowercap(w http.ResponseWriter, r *http.Request) {
 				Trace:    tr,
 				Platform: platform,
 				Machine:  machine,
-				Power:    s.power,
 				Set:      set,
 				Cap:      req.Cap,
 				Kind:     kind,
-				Beta:     beta,
-				BetaSet:  betaSet,
+				Beta:     req.Beta,
 				FMax:     req.FMax,
 				MaxMoves: req.MaxMoves,
 				// Inline traces share their skeleton within the request only;
@@ -445,8 +433,7 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		beta, betaSet, err := req.betaArg()
-		if err != nil {
+		if err := req.validate(); err != nil {
 			return nil, err
 		}
 		platform, machine, err := req.Platform.resolve(s.platform, tr.NumRanks())
@@ -458,11 +445,9 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 				Trace:            tr,
 				Platform:         platform,
 				Machine:          machine,
-				Power:            s.power,
 				Set:              set,
 				Algorithm:        algo,
-				Beta:             beta,
-				BetaSet:          betaSet,
+				Beta:             req.Beta,
 				FMax:             req.FMax,
 				Iterations:       req.Iterations,
 				Drift:            drift,

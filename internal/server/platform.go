@@ -136,10 +136,7 @@ func (p *PlatformSpec) machineFor(base dimemas.Platform, nranks int) (dimemas.Ma
 	if err != nil {
 		return dimemas.Machine{}, err
 	}
-	if m == nil {
-		return dimemas.FlatMachine(eff), nil
-	}
-	return *m, nil
+	return dimemas.ResolveMachine(eff, m, nranks)
 }
 
 // PlatformBody echoes the daemon's configured flat platform in /healthz, so

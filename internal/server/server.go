@@ -41,7 +41,6 @@ import (
 
 	"repro/internal/dimemas"
 	"repro/internal/faults"
-	"repro/internal/power"
 	"repro/internal/stagerr"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -139,7 +138,6 @@ type Server struct {
 	http     *http.Server
 	sem      chan struct{}
 	platform dimemas.Platform
-	power    power.Config
 	state    atomic.Int32 // starting → ready → draining (see readiness.go)
 
 	tmu    sync.Mutex
@@ -156,7 +154,6 @@ func New(cfg Config) *Server {
 		mux:      http.NewServeMux(),
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		platform: cfg.Platform,
-		power:    power.DefaultConfig(),
 		traces:   make(map[traceKey]*list.Element),
 		tlru:     list.New(),
 	}

@@ -583,7 +583,7 @@ func TestAnalyzeBatchByteIdenticalToLibrary(t *testing.T) {
 			Power:     power.DefaultConfig(),
 			Set:       set,
 			Algorithm: algo,
-			Beta:      0.4,
+			Beta:      betaPtr(0.4),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -935,32 +935,119 @@ func TestRebalanceTimeout(t *testing.T) {
 }
 
 // TestExplicitBetaZeroOverTheWire is the serving half of the Beta regression
-// test: a JSON body carrying "beta": 0 must reach the simulator as β = 0
-// (frequency-insensitive compute), not be rewritten to the 0.5 default.
+// test: on every endpoint that takes a β, a JSON body carrying "beta": 0 must
+// reach the pipeline as β = 0 (frequency-insensitive compute), not be
+// rewritten to the 0.5 default. Each answer must be byte-identical to the
+// library call with an explicit zero β, and must differ from the answer to
+// the same body without "beta", so no row is vacuous.
 func TestExplicitBetaZeroOverTheWire(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	tr := genTestTrace(t, testSpec)
+	six, err := dvfs.Uniform(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := betaPtr(0)
 	freqs := make([]float64, tr.NumRanks())
 	for i := range freqs {
 		freqs[i] = 1.1
 	}
-	code, got := postJSON(t, ts.URL+"/v1/replay", ReplayRequest{Trace: testSpec, Freqs: freqs, GearSpec: GearSpec{Beta: betaPtr(0)}})
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, got)
+	peakCap := 0.6 * 32 * 9.703125 // 60% of the all-compute peak of 32 ranks
+	cases := []struct {
+		name string
+		url  string
+		body func(beta *float64) any
+		lib  func() (any, error)
+	}{
+		{"replay", "/v1/replay",
+			func(b *float64) any {
+				return ReplayRequest{Trace: testSpec, Freqs: freqs, GearSpec: GearSpec{Beta: b}}
+			},
+			func() (any, error) {
+				res, err := dimemas.Simulate(tr, dimemas.DefaultPlatform(), dimemas.Options{Beta: 0, FMax: dvfs.FMax, Freqs: freqs})
+				if err != nil {
+					return nil, err
+				}
+				return NewReplayResponse(tr.App, res), nil
+			}},
+		{"analyze", "/v1/analyze",
+			func(b *float64) any {
+				return AnalyzeRequest{Trace: testSpec, GearSet: GearSetSpec{Kind: "uniform"}, GearSpec: GearSpec{Beta: b}}
+			},
+			func() (any, error) {
+				res, err := analysis.Run(analysis.Config{Trace: tr, Set: six, Algorithm: core.MAX, Beta: zero})
+				if err != nil {
+					return nil, err
+				}
+				return NewAnalyzeResponse(six.Name(), res), nil
+			}},
+		{"analyze batch", "/v1/analyze/batch",
+			func(b *float64) any {
+				return AnalyzeBatchRequest{Trace: testSpec, Items: []AnalyzeBatchItem{{GearSet: GearSetSpec{Kind: "uniform"}}}, GearSpec: GearSpec{Beta: b}}
+			},
+			func() (any, error) {
+				res, err := analysis.Run(analysis.Config{Trace: tr, Set: six, Algorithm: core.MAX, Beta: zero})
+				if err != nil {
+					return nil, err
+				}
+				return &AnalyzeBatchResponse{App: tr.App, Results: []*AnalyzeResponse{NewAnalyzeResponse(six.Name(), res)}}, nil
+			}},
+		{"gearopt", "/v1/gearopt",
+			func(b *float64) any {
+				return GearOptRequest{Traces: []TraceRef{testSpec}, NGears: 3, Grid: 0.25, MaxRounds: 2, GearSpec: GearSpec{Beta: b}}
+			},
+			func() (any, error) {
+				res, err := gearopt.Optimize(gearopt.Config{Traces: []*trace.Trace{tr}, NGears: 3, Grid: 0.25, MaxRounds: 2, Beta: zero})
+				if err != nil {
+					return nil, err
+				}
+				return NewGearOptResponse(res), nil
+			}},
+		{"powercap", "/v1/powercap",
+			func(b *float64) any {
+				return PowercapRequest{Trace: testSpec, GearSet: GearSetSpec{Kind: "uniform"}, Cap: peakCap, GearSpec: GearSpec{Beta: b}}
+			},
+			func() (any, error) {
+				res, err := powercap.Run(powercap.Config{Trace: tr, Set: six, Cap: peakCap, Beta: zero})
+				if err != nil {
+					return nil, err
+				}
+				return NewPowercapResponse(res), nil
+			}},
+		{"rebalance", "/v1/rebalance",
+			func(b *float64) any {
+				return RebalanceRequest{Trace: testSpec, GearSet: GearSetSpec{Kind: "uniform"}, Policy: "threshold", Iterations: 8,
+					Drift: DriftSpec{Kind: "ramp", Magnitude: 0.4, Jitter: 0.02, Seed: 5}, GearSpec: GearSpec{Beta: b}}
+			},
+			func() (any, error) {
+				res, err := rebalance.Run(rebalance.Config{Trace: tr, Set: six, Policy: rebalance.PolicyThreshold, Iterations: 8,
+					Drift: workload.Drift{Kind: workload.DriftRamp, Magnitude: 0.4, Jitter: 0.02, Seed: 5}, Beta: zero})
+				if err != nil {
+					return nil, err
+				}
+				return NewRebalanceResponse(res), nil
+			}},
 	}
-	want, err := dimemas.Simulate(tr, dimemas.DefaultPlatform(), dimemas.Options{Beta: 0, FMax: dvfs.FMax, Freqs: freqs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantBytes := wire(t, NewReplayResponse(tr.App, want)); !bytes.Equal(got, wantBytes) {
-		t.Fatalf("explicit beta=0 replay differs from the β=0 library call\n got: %s\nwant: %s", got, wantBytes)
-	}
-	// And the β=0 replay is genuinely different from the defaulted one.
-	base, err := dimemas.Simulate(tr, dimemas.DefaultPlatform(), dimemas.Options{Beta: timemodel.DefaultBeta, FMax: dvfs.FMax, Freqs: freqs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Time == want.Time {
-		t.Fatal("test is vacuous: β=0 and β=0.5 replays coincide")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			code, got := postJSON(t, ts.URL+tc.url, tc.body(zero))
+			if code != http.StatusOK {
+				t.Fatalf("beta=0: status %d: %s", code, got)
+			}
+			want, err := tc.lib()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantBytes := wire(t, want); !bytes.Equal(got, wantBytes) {
+				t.Fatalf("explicit beta=0 response differs from the β=0 library call\n got: %s\nwant: %s", got, wantBytes)
+			}
+			code, def := postJSON(t, ts.URL+tc.url, tc.body(nil))
+			if code != http.StatusOK {
+				t.Fatalf("default beta: status %d: %s", code, def)
+			}
+			if bytes.Equal(got, def) {
+				t.Fatal("test is vacuous: the β=0 and default-β responses coincide")
+			}
+		})
 	}
 }

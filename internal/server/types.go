@@ -14,7 +14,6 @@ import (
 	"repro/internal/predict"
 	"repro/internal/rebalance"
 	"repro/internal/stagerr"
-	"repro/internal/timemodel"
 	"repro/internal/workload"
 )
 
@@ -117,9 +116,9 @@ type GearSpec struct {
 	FMax float64 `json:"fmax,omitempty"`
 }
 
-// validate is the one bounds check for the shared parameters; every handler
-// resolves its GearSpec through validate/options/betaArg, replacing the
-// per-request copies the pre-redesign types carried.
+// validate is the wire's bounds check for the shared parameters and owns
+// the wire error text; the pipelines resolve the defaults themselves
+// (dimemas.ModelOptions), so handlers pass Beta and FMax through unchanged.
 func (g *GearSpec) validate() error {
 	if g.Beta != nil && (*g.Beta < 0 || *g.Beta > 1 || math.IsNaN(*g.Beta)) {
 		return stagerr.Errorf(stagerr.Validate, "beta: must be in [0, 1], got %v", *g.Beta)
@@ -130,34 +129,16 @@ func (g *GearSpec) validate() error {
 	return nil
 }
 
-// betaArg unpacks the optional wire β into the (value, explicit) pair the
-// pipeline configs take: absent means "use the default", an explicit 0 means
-// a fully memory-bound β = 0 run.
-func (g *GearSpec) betaArg() (beta float64, set bool, err error) {
-	if err := g.validate(); err != nil {
-		return 0, false, err
-	}
-	if g.Beta == nil {
-		return 0, false, nil
-	}
-	return *g.Beta, true, nil
-}
-
-// options applies the same defaults the analysis pipeline uses, so a bare
-// replay request and an analyze request replay the identical baseline (and
-// therefore share a cache entry).
+// options resolves the replay options with the same rule the analysis
+// pipeline uses, so a bare replay request and an analyze request replay the
+// identical baseline (and therefore share a cache entry).
 func (g *GearSpec) options(ctx context.Context) (dimemas.Options, error) {
 	if err := g.validate(); err != nil {
 		return dimemas.Options{}, err
 	}
-	o := dimemas.Options{Beta: timemodel.DefaultBeta, FMax: g.FMax, Ctx: ctx}
-	if g.Beta != nil {
-		o.Beta = *g.Beta
-	}
-	if o.FMax == 0 {
-		o.FMax = dvfs.FMax
-	}
-	return o, nil
+	o, err := dimemas.ModelOptions(g.Beta, g.FMax)
+	o.Ctx = ctx
+	return o, err
 }
 
 // GearSetSpec describes a DVFS gear set in a request body.

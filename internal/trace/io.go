@@ -34,6 +34,12 @@ const formatHeader = "#PWRTRACE v1"
 // cryptic "bufio.Scanner: token too long".
 const MaxLineBytes = 16 << 20
 
+// MaxRanks bounds the rank count a trace header may declare. Read allocates
+// per-rank state from the header before it sees a record, so an unbounded
+// count lets one short line demand gigabytes; the cap sits far above every
+// generated instance and is checked before anything is allocated.
+const MaxRanks = 1 << 16
+
 // scanErr converts a scanner failure into a parse-stage error. line is the
 // last fully scanned line; the failure is on the next one.
 func scanErr(err error, line int) error {
@@ -144,6 +150,9 @@ func parseHeader(h string) (app string, nranks int, err error) {
 	}
 	if nranks <= 0 {
 		return "", 0, fmt.Errorf("trace: header missing positive ranks count: %q", h)
+	}
+	if nranks > MaxRanks {
+		return "", 0, fmt.Errorf("trace: header declares %d ranks, above the limit %d", nranks, MaxRanks)
 	}
 	return app, nranks, nil
 }

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bufio"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/stagerr"
 )
@@ -66,6 +69,8 @@ func FuzzRead(f *testing.F) {
 	f.Add("#PWRTRACE v1 app=a ranks=1\nc 0 nope\n")
 	f.Add("#PWRTRACE v1 app=a ranks=1\ng 0 allreduce x\n")
 	f.Add("#PWRTRACE v1 app=a ranks=1\nz 0\n")
+	f.Add("#PWRTRACE v1 app=x ranks=4194304\nc 0 1\n")
+	f.Add("#PWRTRACE v1 app=x ranks=50000000\nc 0 1\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		tr, err := Read(strings.NewReader(in))
 		if err != nil {
@@ -78,4 +83,42 @@ func FuzzRead(f *testing.F) {
 			t.Fatalf("parsed trace with %d ranks", tr.NumRanks())
 		}
 	})
+}
+
+// TestReadRejectsHugeRankCount is the regression test for a header that
+// demands unbounded memory: Read sized its per-rank state from the declared
+// count before seeing a record, so one short line could cost gigabytes.
+// Past MaxRanks it must fail at parse, fast and without allocating for the
+// declared ranks; at the cap it still parses.
+func TestReadRejectsHugeRankCount(t *testing.T) {
+	in := "#PWRTRACE v1 app=x ranks=50000000\nc 0 1\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err := Read(strings.NewReader(in))
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("50M-rank header parsed without error")
+	}
+	if st, ok := stagerr.StageOf(err); !ok || st != stagerr.Parse {
+		t.Fatalf("stage = %v/%v, want parse (err: %v)", st, ok, err)
+	}
+	if elapsed > 100*time.Millisecond {
+		t.Errorf("rejection took %v, want under 100ms", elapsed)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("rejection allocated %d bytes, want under 1 MiB", alloc)
+	}
+
+	if _, err := Read(strings.NewReader(fmt.Sprintf("#PWRTRACE v1 app=x ranks=%d\nc 0 1\n", MaxRanks+1))); err == nil {
+		t.Errorf("ranks=%d parsed, want rejection above MaxRanks", MaxRanks+1)
+	}
+	tr, err := Read(strings.NewReader(fmt.Sprintf("#PWRTRACE v1 app=x ranks=%d\nc 0 1\n", MaxRanks)))
+	if err != nil {
+		t.Fatalf("ranks=MaxRanks rejected: %v", err)
+	}
+	if tr.NumRanks() != MaxRanks {
+		t.Fatalf("ranks = %d, want %d", tr.NumRanks(), MaxRanks)
+	}
 }
