@@ -158,59 +158,24 @@ type traceIndex struct {
 	chanSrc    []int32   // per channel: sending rank (for rendezvous wake-ups)
 }
 
-// buildIndex scans the trace once. The map exists only here; the hot replay
+// buildIndex validates the trace and derives its channel tables in one
+// pass (trace.Match); the replay adds only the arena layout. The hot replay
 // path sees nothing but dense slices.
 func buildIndex(t *trace.Trace) any {
 	idx := &traceIndex{nranks: t.NumRanks()}
-	if err := t.Validate(); err != nil {
+	ch, err := t.Match()
+	if err != nil {
 		idx.err = err
 		return idx
 	}
-	type chanKey struct{ src, dst, tag int }
-	ids := make(map[chanKey]int32)
-	var counts, srcs []int32
-	idx.chanOf = make([][]int32, len(t.Ranks))
-	for r, recs := range t.Ranks {
-		co := make([]int32, len(recs))
-		ncoll := 0
-		for i, rec := range recs {
-			switch rec.Kind {
-			case trace.KindSend, trace.KindRecv:
-				k := chanKey{r, rec.Peer, rec.Tag}
-				if rec.Kind == trace.KindRecv {
-					k = chanKey{rec.Peer, r, rec.Tag}
-				}
-				id, ok := ids[k]
-				if !ok {
-					id = int32(len(counts))
-					ids[k] = id
-					counts = append(counts, 0)
-					srcs = append(srcs, int32(k.src))
-				}
-				co[i] = id
-				if rec.Kind == trace.KindSend {
-					counts[id]++
-					idx.totalSends++
-				}
-			case trace.KindColl:
-				co[i] = -1
-				ncoll++
-			default:
-				co[i] = -1
-			}
-		}
-		if ncoll > idx.numColls {
-			idx.numColls = ncoll
-		}
-		idx.chanOf[r] = co
-	}
-	idx.chanBase = make([]int32, len(counts))
-	idx.chanSrc = srcs
+	idx.chanOf, idx.chanSrc, idx.numColls = ch.Of, ch.Src, ch.Colls
+	idx.chanBase = make([]int32, len(ch.Sends))
 	var base int32
-	for c, cnt := range counts {
+	for c, cnt := range ch.Sends {
 		idx.chanBase[c] = base
 		base += cnt
 	}
+	idx.totalSends = int(base)
 	return idx
 }
 

@@ -126,6 +126,39 @@ func TestHugeInlineRankCountRejected(t *testing.T) {
 	}
 }
 
+// TestUnmatchedInlineTraceEnvelopeIsDeterministic is the regression test
+// for a validation message chosen by map order: an inline trace with two
+// unmatched channels must get the same 400 body every time, naming the
+// first channel in order of appearance.
+func TestUnmatchedInlineTraceEnvelopeIsDeterministic(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := `{"trace": {"text": "#PWRTRACE v1 app=x ranks=4\ns 0 1 8 0\ns 2 3 8 0\n"}}`
+	hdr := map[string]string{RequestIDHeader: "unmatched-1"}
+	var bodies [2][]byte
+	for i := range bodies {
+		resp := postRaw(t, ts.URL+"/v1/replay", body, hdr)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400", resp.StatusCode)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = b
+	}
+	if string(bodies[0]) != string(bodies[1]) {
+		t.Fatalf("same request, different envelopes:\n%s\n%s", bodies[0], bodies[1])
+	}
+	var eb ErrorBody
+	if err := json.Unmarshal(bodies[0], &eb); err != nil {
+		t.Fatal(err)
+	}
+	if eb.Stage != string(stagerr.Validate) || !strings.Contains(eb.Error, "channel 0→1 tag 0") {
+		t.Fatalf("envelope = %+v, want a validate-stage error naming channel 0→1", eb)
+	}
+}
+
 // TestTimeoutEnvelope proves the 504 answer is a full envelope.
 func TestTimeoutEnvelope(t *testing.T) {
 	_, ts := newTestServer(t, Config{RequestTimeout: time.Nanosecond})

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -342,7 +341,7 @@ func (s *Server) traceResolve(ctx context.Context, spec TraceRef) (*trace.Trace,
 		return nil, err
 	}
 	if spec.Text != "" {
-		tr, err := trace.Read(strings.NewReader(spec.Text))
+		tr, err := trace.Parse(spec.Text)
 		if err != nil {
 			return nil, fmt.Errorf("trace: %w", err)
 		}

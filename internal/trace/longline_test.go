@@ -48,7 +48,8 @@ func TestReadLineOverMaxLineBytes(t *testing.T) {
 	}
 }
 
-// TestScanErrMapsTooLong pins the scanner-failure translation directly.
+// TestScanErrMapsTooLong pins the reference reader's scanner-failure
+// translation, the error text Parse's own line limit must reproduce.
 func TestScanErrMapsTooLong(t *testing.T) {
 	err := scanErr(bufio.ErrTooLong, 41)
 	if !strings.Contains(err.Error(), "line 42") {
