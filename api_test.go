@@ -272,9 +272,9 @@ func TestFacadeRebalance(t *testing.T) {
 
 // TestFacadeRebalanceDeterminism pins the closed loop's reproducibility
 // contract across the whole policy × drift matrix: with identical seeds,
-// two runs are deep-equal in every reported field, and a third run that
-// re-simulates every drifted iteration from scratch (FreshReplays) is
-// bit-identical to the retimed ones.
+// two runs are deep-equal in every reported field. The same matrix is held
+// against fresh re-simulation of every drifted iteration by
+// TestRunFreshPolicyMatrix in internal/rebalance.
 func TestFacadeRebalanceDeterminism(t *testing.T) {
 	tr, err := GenerateWorkload("IS-32", quickWorkloadConfig())
 	if err != nil {
@@ -321,15 +321,6 @@ func TestFacadeRebalanceDeterminism(t *testing.T) {
 				}
 				if !reflect.DeepEqual(first, second) {
 					t.Fatalf("two identically seeded runs diverge:\n%+v\nvs\n%+v", first, second)
-				}
-				cfg.Cache = nil
-				cfg.FreshReplays = true
-				fresh, err := RunRebalance(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(first, fresh) {
-					t.Fatalf("fresh-replay run diverges from the retimed run:\n%+v\nvs\n%+v", first, fresh)
 				}
 			})
 		}

@@ -27,6 +27,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/dvfs"
 	"repro/internal/stagerr"
 	"repro/internal/trace"
 )
@@ -304,6 +305,20 @@ func (m *Machine) RankFMax(r int, global float64) float64 {
 		return m.Cap.FMax[r]
 	}
 	return global
+}
+
+// RankTopGear returns the index of rank r's highest assignable gear in an
+// ascending gear list: the highest whose frequency stays at or below the
+// rank's capability ceiling (at least the bottom gear, matching
+// dvfs.Set.QuantizeDown), the last one when the rank has no ceiling.
+func (m *Machine) RankTopGear(r int, gears []dvfs.Gear) int {
+	gi := len(gears) - 1
+	if f := m.RankFMax(r, 0); f > 0 {
+		for gi > 0 && gears[gi].Freq > f+1e-12 {
+			gi--
+		}
+	}
+	return gi
 }
 
 // RankPowerScale returns rank r's power multiplier (1 when homogeneous).

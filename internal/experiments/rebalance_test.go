@@ -2,12 +2,8 @@ package experiments
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/dvfs"
-	"repro/internal/rebalance"
 )
 
 // TestRebalanceSweep is the experiment-level check of the acceptance
@@ -85,51 +81,6 @@ func TestRebalanceSweep(t *testing.T) {
 			if !strings.Contains(buf.String(), want) {
 				t.Errorf("table missing %q:\n%s", want, buf.String())
 			}
-		}
-	}
-}
-
-// TestRebalancePredictiveExactness pins the study's exactness guarantee for
-// the predictive policy: every iteration of the skeleton-retimed run is
-// bit-identical to scoring the same closed loop with fresh simulations of
-// each drifted trace (Config.FreshReplays) — the forecaster sits on top of
-// the replay tier, so it must not perturb the retiming equivalence.
-func TestRebalancePredictiveExactness(t *testing.T) {
-	tr, err := sharedSuite.Trace("WRF-128")
-	if err != nil {
-		t.Fatal(err)
-	}
-	six, err := dvfs.Uniform(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sc := range DefaultRebalanceScenarios() {
-		cfg := sharedSuite.rebalanceConfig(tr, six, sc.Drift)
-		cfg.Policy = rebalance.PolicyPredictive
-		cfg.Predict = rebalancePredict()
-		retimed, err := rebalance.Run(cfg)
-		if err != nil {
-			t.Fatalf("%s retimed: %v", sc.Name, err)
-		}
-		cfg.FreshReplays = true
-		cfg.Cache = nil
-		fresh, err := rebalance.Run(cfg)
-		if err != nil {
-			t.Fatalf("%s fresh: %v", sc.Name, err)
-		}
-		if len(retimed.Iterations) != len(fresh.Iterations) {
-			t.Fatalf("%s: iteration count %d vs %d", sc.Name, len(retimed.Iterations), len(fresh.Iterations))
-		}
-		for i := range retimed.Iterations {
-			if retimed.Iterations[i] != fresh.Iterations[i] {
-				t.Fatalf("%s iteration %d: retimed %+v != fresh %+v", sc.Name, i, retimed.Iterations[i], fresh.Iterations[i])
-			}
-		}
-		if !reflect.DeepEqual(retimed.FinalGears, fresh.FinalGears) {
-			t.Errorf("%s: final gears diverge between retimed and fresh scoring", sc.Name)
-		}
-		if *retimed.Forecast != *fresh.Forecast {
-			t.Errorf("%s: forecaster stats diverge: %+v vs %+v", sc.Name, retimed.Forecast, fresh.Forecast)
 		}
 	}
 }

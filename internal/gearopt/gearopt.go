@@ -129,6 +129,9 @@ func (cfg *Config) normalize() error {
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = 8
 	}
+	if cfg.MaxRounds < 0 {
+		return fmt.Errorf("gearopt: negative max rounds %d", cfg.MaxRounds)
+	}
 	return nil
 }
 

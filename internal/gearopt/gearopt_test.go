@@ -47,6 +47,10 @@ func TestOptimizeValidation(t *testing.T) {
 			t.Errorf("grid %v: err = %v, want a validate-stage error", grid, err)
 		}
 	}
+	_, err := Optimize(Config{Traces: trs, NGears: 4, MaxRounds: -1})
+	if st, _ := stagerr.StageOf(err); st != stagerr.Validate {
+		t.Errorf("max rounds -1: err = %v, want a validate-stage error", err)
+	}
 }
 
 func TestOptimizeImprovesOnUniform(t *testing.T) {

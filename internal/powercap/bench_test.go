@@ -42,20 +42,20 @@ func runSweep(b *testing.B, tr *trace.Trace, set *dvfs.Set, fresh bool) int {
 		b.Fatal(err)
 	}
 	uncappedPeak := float64(tr.NumRanks()) * pm.Power(power.Compute, dvfs.GearAt(dvfs.FMax))
-	var cache *dimemas.ReplayCache
-	if !fresh {
-		// One cache per sweep: the eight rows share one timing skeleton and
-		// one timeline baseline, exactly like the pwrsim experiment.
-		cache = dimemas.NewReplayCache()
+	// One cache per sweep: the eight rows share one timing skeleton and one
+	// timeline baseline, exactly like the pwrsim experiment. The fresh arm
+	// replays everything, the baseline included.
+	run, cache := Run, dimemas.NewReplayCache()
+	if fresh {
+		run, cache = RunFresh, nil
 	}
 	evals := 0
 	for _, frac := range sweepCaps {
-		res, err := Run(Config{
-			Trace:        tr,
-			Set:          set,
-			Cap:          frac * uncappedPeak,
-			Cache:        cache,
-			FreshReplays: fresh,
+		res, err := run(Config{
+			Trace: tr,
+			Set:   set,
+			Cap:   frac * uncappedPeak,
+			Cache: cache,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -85,7 +85,8 @@ func BenchmarkPowercapSweep(b *testing.B) {
 }
 
 // BenchmarkPowercapSweepSimulate is the comparison arm: identical sweep,
-// identical (bit-for-bit) results, but every candidate pays a full replay.
+// identical (bit-for-bit) results, but every candidate pays a full replay
+// (RunFresh).
 func BenchmarkPowercapSweepSimulate(b *testing.B) {
 	tr := wrfTrace(b)
 	set, err := dvfs.Uniform(6)

@@ -131,12 +131,6 @@ type Config struct {
 	// rows of a cap sweep, which then pays for the skeleton exactly once.
 	// Nil builds an uncached skeleton for this run.
 	Cache *dimemas.ReplayCache
-	// FreshReplays forces every candidate to be scored by a fresh Simulate
-	// call instead of a skeleton retiming (the Cache is ignored). Results
-	// are bit-identical either way; the flag exists to measure the
-	// skeleton's speedup (BenchmarkPowercapSweep) and as a cross-check in
-	// tests.
-	FreshReplays bool
 	// Ctx optionally bounds the run; it is polled between candidate
 	// evaluations and threaded into the replays.
 	Ctx context.Context
@@ -235,19 +229,15 @@ func (c *Config) normalize() error {
 // per-gear constants, and the reusable evaluation buffers.
 type scheduler struct {
 	cfg      *Config
-	opts     dimemas.Options // resolved β and FMax, with the run's Ctx
-	machine  dimemas.Machine
+	rep      replayer
 	pm       *power.Model
-	gears    []dvfs.Gear // ascending
-	pComp    []float64   // per gear: compute-phase power
-	sd       []float64   // per gear: β slowdown factor vs FMax
-	pscale   []float64   // per rank: power multiplier (nil: homogeneous)
-	maxGi    []int       // per rank: highest assignable gear index (nil: whole set)
-	baseComp []float64   // per rank: computation time at FMax (read-only)
-	skel     *dimemas.Skeleton
-	res      dimemas.Result     // reusable replay output (FreshReplays path)
-	delta    dimemas.DeltaState // memoized retiming state (default path)
-	cur      *dimemas.Result    // result of the last evaluate call
+	gears    []dvfs.Gear     // ascending
+	pComp    []float64       // per gear: compute-phase power
+	sd       []float64       // per gear: β slowdown factor vs FMax
+	pscale   []float64       // per rank: power multiplier (nil: homogeneous)
+	maxGi    []int           // per rank: highest assignable gear index (nil: whole set)
+	baseComp []float64       // per rank: computation time at FMax (read-only)
+	cur      *dimemas.Result // result of the last evaluate call
 	freqs    []float64
 	usage    []power.Usage
 	maxMoves int
@@ -260,14 +250,49 @@ type scheduler struct {
 // the validate stage, everything else crosses powercap with the origin
 // stage preserved underneath.
 func Run(cfg Config) (*Result, error) {
-	res, err := run(cfg)
+	res, err := run(cfg, newSkeletonReplayer)
 	if err != nil {
 		return nil, stagerr.Wrap(stagerr.Powercap, err)
 	}
 	return res, nil
 }
 
-func run(cfg Config) (*Result, error) {
+// replayer scores the gear vectors of one run. The production replayer
+// retimes the trace's timing skeleton; the tests inject one that replays the
+// trace afresh (RunFresh), which must agree bit for bit.
+type replayer interface {
+	// probe replays one candidate frequency vector; the result stays valid
+	// until the next probe.
+	probe(freqs []float64) (*dimemas.Result, error)
+	// timeline replays one frequency vector with timeline recording.
+	timeline(freqs []float64) (*dimemas.Result, error)
+}
+
+// skeletonReplayer answers each probe with one full retime pass, unless the
+// probe repeats one of the last two vectors scored (the delta memo answers
+// those).
+type skeletonReplayer struct {
+	skel  *dimemas.Skeleton
+	delta dimemas.DeltaState
+}
+
+func newSkeletonReplayer(cfg *Config, machine dimemas.Machine, opts dimemas.Options) (replayer, error) {
+	skel, err := cfg.Cache.SkeletonForMachine(cfg.Trace, machine, opts)
+	if err != nil {
+		return nil, fmt.Errorf("powercap: timing skeleton: %w", err)
+	}
+	return &skeletonReplayer{skel: skel}, nil
+}
+
+func (r *skeletonReplayer) probe(freqs []float64) (*dimemas.Result, error) {
+	return r.skel.RetimeDelta(&r.delta, freqs, nil)
+}
+
+func (r *skeletonReplayer) timeline(freqs []float64) (*dimemas.Result, error) {
+	return r.skel.Retime(freqs, true)
+}
+
+func run(cfg Config, newReplayer func(*Config, dimemas.Machine, dimemas.Options) (replayer, error)) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, stagerr.Wrap(stagerr.Validate, err)
 	}
@@ -285,43 +310,30 @@ func run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
+	rep, err := newReplayer(&cfg, machine, opts)
+	if err != nil {
+		return nil, err
+	}
+	// The timeline baseline doubles as the uncapped reference and the
+	// slack-ordering source; through a cache it is shared across every row
+	// of a cap sweep.
 	tlOpts := opts
 	tlOpts.RecordTimeline = true
-	var (
-		base *dimemas.Result
-		skel *dimemas.Skeleton
-	)
-	if cfg.FreshReplays {
-		base, err = dimemas.SimulateMachine(cfg.Trace, machine, tlOpts)
-		if err != nil {
-			return nil, fmt.Errorf("powercap: baseline replay: %w", err)
-		}
-	} else {
-		skel, err = cfg.Cache.SkeletonForMachine(cfg.Trace, machine, opts)
-		if err != nil {
-			return nil, fmt.Errorf("powercap: timing skeleton: %w", err)
-		}
-		// The timeline baseline doubles as the uncapped reference and the
-		// slack-ordering source; through a cache it is shared across every
-		// row of a cap sweep.
-		base, err = cfg.Cache.OriginalMachine(cfg.Trace, machine, tlOpts)
-		if err != nil {
-			return nil, fmt.Errorf("powercap: baseline replay: %w", err)
-		}
+	base, err := cfg.Cache.OriginalMachine(cfg.Trace, machine, tlOpts)
+	if err != nil {
+		return nil, fmt.Errorf("powercap: baseline replay: %w", err)
 	}
 
 	n := len(base.Compute)
 	gears := cfg.Set.Gears()
 	s := &scheduler{
 		cfg:      &cfg,
-		opts:     opts,
-		machine:  machine,
+		rep:      rep,
 		pm:       pm,
 		gears:    gears,
 		pComp:    make([]float64, len(gears)),
 		sd:       make([]float64, len(gears)),
 		baseComp: base.Compute,
-		skel:     skel,
 		freqs:    make([]float64, n),
 		usage:    make([]power.Usage, n),
 		maxMoves: cfg.MaxMoves,
@@ -344,19 +356,9 @@ func run(cfg Config) (*Result, error) {
 			}
 		}
 		if cap.FMax != nil {
-			// Per-rank gear ceilings: the highest set index whose frequency
-			// stays at or below the rank's silicon limit (at least the
-			// bottom gear, matching dvfs.Set.QuantizeDown).
 			s.maxGi = make([]int, n)
 			for r := range s.maxGi {
-				s.maxGi[r] = len(gears) - 1
-				if f := machine.RankFMax(r, 0); f > 0 {
-					gi := len(gears) - 1
-					for gi > 0 && gears[gi].Freq > f+1e-12 {
-						gi--
-					}
-					s.maxGi[r] = gi
-				}
+				s.maxGi[r] = machine.RankTopGear(r, gears)
 			}
 		}
 	}
@@ -416,9 +418,8 @@ func run(cfg Config) (*Result, error) {
 	}, nil
 }
 
-// evaluate scores one gear-index vector exactly: the retimed (or, under
-// FreshReplays, freshly simulated) replay's execution time plus the energy
-// of the run at those gears.
+// evaluate scores one gear-index vector exactly: the replay's execution
+// time plus the energy of the run at those gears.
 func (s *scheduler) evaluate(idx []int) (time, energy float64, err error) {
 	if ctx := s.cfg.Ctx; ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -429,24 +430,9 @@ func (s *scheduler) evaluate(idx []int) (time, energy float64, err error) {
 	for r, gi := range idx {
 		s.freqs[r] = s.gears[gi].Freq
 	}
-	res := &s.res
-	if s.cfg.FreshReplays {
-		opts := s.opts
-		opts.Freqs = s.freqs
-		fresh, err := dimemas.SimulateMachine(s.cfg.Trace, s.machine, opts)
-		if err != nil {
-			return 0, 0, err
-		}
-		s.res = *fresh
-	} else {
-		// One full retime pass per probe, unless the probe repeats one of
-		// the last two vectors scored (the delta memo answers those) —
-		// bit-identical to the FreshReplays Simulate.
-		r, err := s.skel.RetimeDelta(&s.delta, s.freqs, nil)
-		if err != nil {
-			return 0, 0, err
-		}
-		res = r
+	res, err := s.rep.probe(s.freqs)
+	if err != nil {
+		return 0, 0, err
 	}
 	s.cur = res
 	for r, gi := range idx {
@@ -753,17 +739,7 @@ func (s *scheduler) finish(policy Policy, idx []int, ref RefStats) (*Schedule, e
 		gears[r] = s.gears[gi]
 		freqs[r] = s.gears[gi].Freq
 	}
-	var (
-		res *dimemas.Result
-		err error
-	)
-	if s.cfg.FreshReplays {
-		opts := s.opts
-		opts.Freqs, opts.RecordTimeline = freqs, true
-		res, err = dimemas.SimulateMachine(s.cfg.Trace, s.machine, opts)
-	} else {
-		res, err = s.skel.Retime(freqs, true)
-	}
+	res, err := s.rep.timeline(freqs)
 	if err != nil {
 		return nil, fmt.Errorf("powercap: %s schedule replay: %w", policy, err)
 	}

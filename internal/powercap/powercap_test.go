@@ -110,16 +110,40 @@ func TestRedistributionBeatsUniformUnderTightPeakCap(t *testing.T) {
 	}
 }
 
-func TestFreshReplaysBitIdentical(t *testing.T) {
+// TestRunFreshBitIdentical holds the skeleton-retimed scheduler against
+// RunFresh, which scores every candidate by a fresh simulation: schedules,
+// scores and the uncapped reference must agree bit for bit.
+func TestRunFreshBitIdentical(t *testing.T) {
 	tr := imbalancedTrace(2)
 	set := sixGears(t)
-	cap := 0.6 * 4 * computePower(t, dvfs.FMax)
-	for _, kind := range []CapKind{CapPeak, CapAverage} {
-		cached, err := Run(Config{Trace: tr, Set: set, Cap: cap, Kind: kind, Cache: dimemas.NewReplayCache()})
+	// The input of rebalance's capped re-solve: the base iteration with
+	// drifted per-rank loads written onto it (trace.ScaleCompute), on a
+	// machine with per-rank capability scales.
+	base, err := tr.Slice(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drift := []float64{0.7, 1.3, 1.1, 0.9}
+	drifted := base.ScaleCompute(func(r int, _ trace.Record) float64 { return drift[r] })
+	cases := []struct {
+		name    string
+		tr      *trace.Trace
+		machine *dimemas.Machine
+		kind    CapKind
+		cap     float64
+	}{
+		{"peak", tr, nil, CapPeak, 0.6 * 4 * computePower(t, dvfs.FMax)},
+		{"average", tr, nil, CapAverage, 0.6 * 4 * computePower(t, dvfs.FMax)},
+		{"capped re-solve", drifted, heteroMachine(), CapPeak, 0.6 * 5 * computePower(t, dvfs.FMax)},
+	}
+	for _, tc := range cases {
+		cfg := Config{Trace: tc.tr, Machine: tc.machine, Set: set, Cap: tc.cap, Kind: tc.kind}
+		fresh, err := RunFresh(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Run(Config{Trace: tr, Set: set, Cap: cap, Kind: kind, FreshReplays: true})
+		cfg.Cache = dimemas.NewReplayCache()
+		cached, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,16 +153,19 @@ func TestFreshReplaysBitIdentical(t *testing.T) {
 		} {
 			if pair.a.Time != pair.b.Time || pair.a.Energy != pair.b.Energy ||
 				pair.a.PeakPower != pair.b.PeakPower {
-				t.Errorf("%s/%s: retimed %+v != simulated %+v", kind, pair.a.Policy, pair.a, pair.b)
+				t.Errorf("%s/%s: retimed %+v != simulated %+v", tc.name, pair.a.Policy, pair.a, pair.b)
 			}
 			for r := range pair.a.Gears {
 				if pair.a.Gears[r] != pair.b.Gears[r] {
-					t.Errorf("%s/%s: rank %d gear %v != %v", kind, pair.a.Policy, r, pair.a.Gears[r], pair.b.Gears[r])
+					t.Errorf("%s/%s: rank %d gear %v != %v", tc.name, pair.a.Policy, r, pair.a.Gears[r], pair.b.Gears[r])
 				}
 			}
 		}
 		if cached.Uncapped != fresh.Uncapped {
-			t.Errorf("%s: uncapped reference %+v != %+v", kind, cached.Uncapped, fresh.Uncapped)
+			t.Errorf("%s: uncapped reference %+v != %+v", tc.name, cached.Uncapped, fresh.Uncapped)
+		}
+		if cached.Evaluations != fresh.Evaluations {
+			t.Errorf("%s: %d evaluations retimed, %d simulated", tc.name, cached.Evaluations, fresh.Evaluations)
 		}
 	}
 }
@@ -326,7 +353,7 @@ func TestHeterogeneousMachineScheduling(t *testing.T) {
 
 	// The machine path is bit-identical between retimed and fresh replays,
 	// exactly like the flat path.
-	fresh, err := Run(Config{Trace: tr, Machine: heteroMachine(), Set: set, Cap: cap, FreshReplays: true})
+	fresh, err := RunFresh(Config{Trace: tr, Machine: heteroMachine(), Set: set, Cap: cap})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,15 +30,14 @@ func wrfTrace(b *testing.B) *trace.Trace {
 	return wrf128
 }
 
-func benchConfig(tr *trace.Trace, set *dvfs.Set, fresh bool) Config {
+func benchConfig(tr *trace.Trace, set *dvfs.Set) Config {
 	return Config{
-		Trace:        tr,
-		Set:          set,
-		Policy:       PolicyThreshold,
-		Iterations:   30,
-		Drift:        workload.Drift{Kind: workload.DriftRamp, Magnitude: 0.4, Jitter: 0.02, Seed: 2},
-		Cache:        dimemas.NewReplayCache(),
-		FreshReplays: fresh,
+		Trace:      tr,
+		Set:        set,
+		Policy:     PolicyThreshold,
+		Iterations: 30,
+		Drift:      workload.Drift{Kind: workload.DriftRamp, Magnitude: 0.4, Jitter: 0.02, Seed: 2},
+		Cache:      dimemas.NewReplayCache(),
 	}
 }
 
@@ -58,7 +57,7 @@ func BenchmarkRebalanceWRF128(b *testing.B) {
 	// Warm the skeleton once, as a long-running service would; the loop
 	// then measures the steady state.
 	cache := dimemas.NewReplayCache()
-	cfg := benchConfig(tr, set, false)
+	cfg := benchConfig(tr, set)
 	cfg.Cache = cache
 	if _, err := Run(cfg); err != nil {
 		b.Fatal(err)
@@ -85,7 +84,7 @@ func BenchmarkPredictiveRebalanceWRF128(b *testing.B) {
 		b.Fatal(err)
 	}
 	cache := dimemas.NewReplayCache()
-	cfg := benchConfig(tr, set, false)
+	cfg := benchConfig(tr, set)
 	cfg.Policy = PolicyPredictive
 	cfg.Cache = cache
 	if _, err := Run(cfg); err != nil {
@@ -100,21 +99,21 @@ func BenchmarkPredictiveRebalanceWRF128(b *testing.B) {
 	}
 }
 
-// BenchmarkRebalanceWRF128Fresh is the comparison arm: identical loop,
-// identical results, but every iteration pays a drifted-trace rebuild plus
-// two full replays.
+// BenchmarkRebalanceWRF128Fresh is the comparison arm (RunFresh):
+// identical loop, identical results, but every iteration pays a
+// drifted-trace rebuild plus two full replays.
 func BenchmarkRebalanceWRF128Fresh(b *testing.B) {
 	tr := wrfTrace(b)
 	set, err := dvfs.Uniform(6)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := benchConfig(tr, set, true)
+	cfg := benchConfig(tr, set)
 	cfg.Cache = nil
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
+		if _, err := RunFresh(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -47,8 +47,8 @@
 // is recorded once (dimemas.ReplayCache.SkeletonForSlice) and each
 // (gear vector, drift factors) combination is replayed with
 // Skeleton.RetimeScaled — bit-identical to freshly simulating the drifted
-// trace (Config.FreshReplays does exactly that, as a cross-check and a
-// benchmark baseline) at a fraction of the cost.
+// trace, which the tests and the comparison benchmark do as a cross-check,
+// at a fraction of the cost.
 package rebalance
 
 import (
@@ -231,12 +231,6 @@ type Config struct {
 	// load-independent quantity a peak cap constrains — and the loop stays
 	// allocation-free.
 	ExactPeaks bool
-	// FreshReplays scores every iteration with a fresh Simulate call over
-	// a newly built drifted trace instead of retiming the shared skeleton.
-	// Results are bit-identical either way; the flag exists to measure the
-	// skeleton's speedup (BenchmarkRebalanceWRF128) and as a cross-check
-	// in tests.
-	FreshReplays bool
 	// Cache optionally memoizes the base-iteration skeleton (keyed by the
 	// parent trace and iteration 0) so policy sweeps and repeated server
 	// requests over the same trace record it once. Nil builds one
@@ -393,7 +387,7 @@ type loop struct {
 	pm       *power.Model
 	machine  dimemas.Machine
 	base     *trace.Trace // the base iteration (iteration 0 of cfg.Trace)
-	skel     *dimemas.Skeleton
+	rep      replayer
 	gears    []dvfs.Gear
 	freqs    []float64
 	sd       []float64 // per rank: slowdown of the current gear
@@ -405,8 +399,6 @@ type loop struct {
 	capScale []float64 // per rank: capability stretch baked into replays (nil: nominal)
 	pscale   []float64 // per rank: power multipliers (nil: homogeneous)
 	usage    []power.Usage
-	dExec    dimemas.DeltaState // memoized retiming, executed iteration (non-ExactPeaks)
-	dRef     dimemas.DeltaState // memoized retiming, FMax reference
 }
 
 // pscaleAt returns rank r's power multiplier for Usage rows (0 — the
@@ -423,14 +415,59 @@ func (l *loop) pscaleAt(r int) float64 {
 // configuration problems carry the validate stage, everything else crosses
 // rebalance with the origin stage preserved underneath.
 func Run(cfg Config) (*Result, error) {
-	res, err := run(cfg)
+	res, err := run(cfg, newSkeletonReplayer)
 	if err != nil {
 		return nil, stagerr.Wrap(stagerr.Rebalance, err)
 	}
 	return res, nil
 }
 
-func run(cfg Config) (*Result, error) {
+// replayer executes the online iterations of one run. The production
+// replayer retimes the base iteration's timing skeleton; the tests inject
+// one that simulates each drifted iteration afresh (RunFresh), which must
+// agree bit for bit.
+type replayer interface {
+	// replay executes one iteration under per-rank drift factors scale:
+	// at freqs (recording a timeline when asked) and at the all-FMax
+	// reference.
+	replay(freqs, scale []float64, timeline bool) (exec, ref *dimemas.Result, err error)
+}
+
+// skeletonReplayer retimes the base-iteration skeleton. Iterations whose
+// (freqs, scale) repeat a recent one are answered by the delta memos
+// without a pass, bit-identical to the RetimeScaled pass a timeline still
+// needs.
+type skeletonReplayer struct {
+	skel  *dimemas.Skeleton
+	dExec dimemas.DeltaState // executed iteration (no timeline)
+	dRef  dimemas.DeltaState // FMax reference
+}
+
+func newSkeletonReplayer(cfg *Config, base *trace.Trace, machine dimemas.Machine, opts dimemas.Options) (replayer, error) {
+	skel, err := cfg.Cache.SkeletonForSliceMachine(cfg.Trace, 0, base, machine, opts)
+	if err != nil {
+		return nil, fmt.Errorf("rebalance: base-iteration skeleton: %w", err)
+	}
+	return &skeletonReplayer{skel: skel}, nil
+}
+
+func (r *skeletonReplayer) replay(freqs, scale []float64, timeline bool) (exec, ref *dimemas.Result, err error) {
+	if timeline {
+		exec, err = r.skel.RetimeScaled(freqs, scale, true)
+	} else {
+		exec, err = r.skel.RetimeDelta(&r.dExec, freqs, scale)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	ref, err = r.skel.RetimeDelta(&r.dRef, nil, scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	return exec, ref, nil
+}
+
+func run(cfg Config, newReplayer func(*Config, *trace.Trace, dimemas.Machine, dimemas.Options) (replayer, error)) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, stagerr.Wrap(stagerr.Validate, err)
 	}
@@ -483,11 +520,9 @@ func run(cfg Config) (*Result, error) {
 		l.fcast = make([]float64, n)
 		l.fcomp = make([]float64, n)
 	}
-	if !cfg.FreshReplays {
-		l.skel, err = cfg.Cache.SkeletonForSliceMachine(cfg.Trace, 0, base, machine, opts)
-		if err != nil {
-			return nil, fmt.Errorf("rebalance: base-iteration skeleton: %w", err)
-		}
+	l.rep, err = newReplayer(&cfg, base, machine, opts)
+	if err != nil {
+		return nil, err
 	}
 
 	factors, err := cfg.Drift.Factors(n, cfg.Iterations)
@@ -535,7 +570,7 @@ func run(cfg Config) (*Result, error) {
 				return nil, err
 			}
 		}
-		exec, ref, err := l.replay(factors[it])
+		exec, ref, err := l.rep.replay(l.freqs, factors[it], cfg.ExactPeaks)
 		if err != nil {
 			return nil, fmt.Errorf("rebalance: iteration %d: %w", it, err)
 		}
@@ -711,49 +746,6 @@ func (l *loop) syncGearState() {
 	}
 }
 
-// replay executes one iteration at the current gears and the all-FMax
-// reference under the same drift factors — skeleton retimes on the cached
-// path, fresh simulations of a rebuilt drifted trace under FreshReplays.
-func (l *loop) replay(scale []float64) (exec, ref *dimemas.Result, err error) {
-	cfg := l.cfg
-	if cfg.FreshReplays {
-		drifted := l.base.ScaleCompute(func(r int, _ trace.Record) float64 { return scale[r] })
-		opts := l.opts
-		opts.Freqs, opts.RecordTimeline = l.freqs, cfg.ExactPeaks
-		exec, err = dimemas.SimulateMachine(drifted, l.machine, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		opts.Freqs = nil
-		opts.RecordTimeline = false
-		ref, err = dimemas.SimulateMachine(drifted, l.machine, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return exec, ref, nil
-	}
-	if cfg.ExactPeaks {
-		exec, err = l.skel.RetimeScaled(l.freqs, scale, true)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		// Iterations whose (freqs, scale) repeat a recent one are answered
-		// by the delta memo without a pass; bit-identical to the
-		// RetimeScaled pass the ExactPeaks branch (which needs timelines)
-		// still performs.
-		exec, err = l.skel.RetimeDelta(&l.dExec, l.freqs, scale)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	ref, err = l.skel.RetimeDelta(&l.dRef, nil, scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	return exec, ref, nil
-}
-
 // observe de-scales the executed iteration's per-rank computation times back
 // to FMax — what a runtime derives from its timers and the gears it set —
 // feeding the next assignment.
@@ -820,11 +812,7 @@ func (l *loop) solveCapped(loads []float64) ([]dvfs.Gear, error) {
 		Kind:     powercap.CapPeak,
 		Beta:     cfg.Beta,
 		FMax:     cfg.FMax,
-		// Under FreshReplays the whole loop — including every re-solve's
-		// candidate scoring — runs on fresh Simulate calls; results are
-		// bit-identical either way (powercap's own guarantee).
-		FreshReplays: cfg.FreshReplays,
-		Ctx:          cfg.Ctx,
+		Ctx:      cfg.Ctx,
 	})
 	if err != nil {
 		return nil, err
@@ -843,14 +831,7 @@ func (l *loop) cappedColdStart() error {
 	n := len(l.gears)
 	ceil := make([]int, n)
 	for r := range ceil {
-		ceil[r] = len(gears) - 1
-		if f := l.machine.RankFMax(r, 0); f > 0 {
-			gi := len(gears) - 1
-			for gi > 0 && gears[gi].Freq > f+1e-12 {
-				gi--
-			}
-			ceil[r] = gi
-		}
+		ceil[r] = l.machine.RankTopGear(r, gears)
 	}
 	scale := func(r int) float64 {
 		if l.pscale == nil {

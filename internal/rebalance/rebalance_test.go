@@ -118,10 +118,10 @@ func TestNeverPolicyZeroDriftMatchesAnalysis(t *testing.T) {
 	}
 }
 
-// TestFreshReplaysBitIdentical proves the skeleton-retiming loop exact: the
+// TestRunFreshBitIdentical proves the skeleton-retiming loop exact: the
 // same drifting run scored by fresh Simulate calls over rebuilt drifted
-// traces produces the identical series, bit for bit.
-func TestFreshReplaysBitIdentical(t *testing.T) {
+// traces (RunFresh) produces the identical series, bit for bit.
+func TestRunFreshBitIdentical(t *testing.T) {
 	tr := genTrace(t, "IS-32", 3)
 	set := sixGears(t)
 	for _, policy := range []Policy{PolicyNever, PolicyEveryK, PolicyThreshold} {
@@ -138,9 +138,8 @@ func TestFreshReplaysBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}
-		cfg.FreshReplays = true
 		cfg.Cache = nil
-		fresh, err := Run(cfg)
+		fresh, err := RunFresh(cfg)
 		if err != nil {
 			t.Fatalf("%v fresh: %v", policy, err)
 		}

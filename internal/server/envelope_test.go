@@ -92,6 +92,7 @@ func TestErrorEnvelopeStages(t *testing.T) {
 		{"bad gear kind", "/v1/analyze", `{"trace": {"app": "IS-32", "iterations": 3, "quick": true}, "gear_set": {"kind": "nope"}}`, "validate"},
 		{"tracegen inline text", "/v1/tracegen", `{"trace": {"text": "x"}}`, "validate"},
 		{"gearopt grid below minimum", "/v1/gearopt", `{"traces": [{"app": "IS-32", "iterations": 3, "quick": true}], "grid": 1e-6}`, "validate"},
+		{"gearopt negative max_rounds", "/v1/gearopt", `{"traces": [{"app": "IS-32", "iterations": 3, "quick": true}], "max_rounds": -1}`, "validate"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
