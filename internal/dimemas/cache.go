@@ -1,13 +1,7 @@
 package dimemas
 
 import (
-	"container/list"
-	"context"
-	"errors"
-	"sync"
-
-	"repro/internal/faults"
-	"repro/internal/stagerr"
+	"repro/internal/memo"
 	"repro/internal/trace"
 )
 
@@ -29,34 +23,16 @@ type replayKey struct {
 	skeleton bool // true for timing-skeleton entries (timeline is false)
 }
 
-// replayEntry single-flights one memoized computation: a baseline Result or
-// a timing Skeleton, depending on the key.
-type replayEntry struct {
-	once sync.Once
+// artifact is one memoized value: a baseline Result or a timing Skeleton,
+// depending on the key.
+type artifact struct {
 	res  *Result
 	skel *Skeleton
-	err  error
 }
 
-// lruItem pairs a key with its entry so eviction from the list can also
-// delete the map slot.
-type lruItem struct {
-	key   replayKey
-	entry *replayEntry
-}
-
-// CacheStats is a point-in-time snapshot of a ReplayCache's counters.
-type CacheStats struct {
-	// Hits counts lookups that found a memoized (or in-flight) entry.
-	Hits int64
-	// Misses counts lookups that had to start a fresh computation.
-	Misses int64
-	// Evictions counts entries dropped by the LRU bound.
-	Evictions int64
-	// Entries is the current number of memoized entries (replays plus
-	// skeletons).
-	Entries int
-}
+// CacheStats is a point-in-time snapshot of a ReplayCache's counters;
+// Entries counts replays plus skeletons.
+type CacheStats = memo.Stats
 
 // ReplayCache memoizes the two per-trace artifacts every analysis pipeline
 // re-derives — the baseline replay (Options.Freqs == nil, every rank at
@@ -79,13 +55,7 @@ type CacheStats struct {
 // evicted in-flight entry still completes for the callers already waiting
 // on it; later lookups simply recompute it.
 type ReplayCache struct {
-	mu        sync.Mutex
-	max       int // 0 means unbounded
-	m         map[replayKey]*list.Element
-	lru       *list.List // front = most recently used; values are *lruItem
-	hits      int64
-	misses    int64
-	evictions int64
+	m *memo.Cache[replayKey, artifact]
 }
 
 // NewReplayCache returns an empty, unbounded cache.
@@ -95,14 +65,7 @@ func NewReplayCache() *ReplayCache { return NewReplayCacheWithLimit(0) }
 // maxEntries memoized entries (LRU eviction). maxEntries ≤ 0 means
 // unbounded.
 func NewReplayCacheWithLimit(maxEntries int) *ReplayCache {
-	if maxEntries < 0 {
-		maxEntries = 0
-	}
-	return &ReplayCache{
-		max: maxEntries,
-		m:   make(map[replayKey]*list.Element),
-		lru: list.New(),
-	}
+	return &ReplayCache{m: memo.New[replayKey, artifact](maxEntries)}
 }
 
 // Original returns the memoized baseline replay of t under opts, simulating
@@ -171,11 +134,11 @@ func (c *ReplayCache) skeleton(keyTrace *trace.Trace, slice int, build *trace.Tr
 		machine:  m.Fingerprint(),
 		skeleton: true,
 	}
-	e, err := c.flight(k, opts, func(e *replayEntry) { e.skel, e.err = BuildSkeletonMachine(build, m, opts) })
-	if err != nil {
-		return nil, err
-	}
-	return e.skel, e.err
+	a, err := c.m.Do(opts.Ctx, k, func() (artifact, error) {
+		sk, err := BuildSkeletonMachine(build, m, opts)
+		return artifact{skel: sk}, err
+	})
+	return a.skel, err
 }
 
 // Replay returns the replay of t under opts: the memoized baseline when
@@ -215,108 +178,11 @@ func (c *ReplayCache) original(keyTrace *trace.Trace, slice int, sim *trace.Trac
 		machine:  m.Fingerprint(),
 		timeline: opts.RecordTimeline,
 	}
-	e, err := c.flight(k, opts, func(e *replayEntry) { e.res, e.err = SimulateMachine(sim, m, opts) })
-	if err != nil {
-		return nil, err
-	}
-	return e.res, e.err
-}
-
-// flight single-flights compute under k. Two error classes must never be
-// memoized — a computation aborted by its caller's context, and an injected
-// fault (internal/faults) — or the cache would serve a dead request's
-// cancellation, or a transient chaos fault, to every later caller. Context
-// aborts evict the entry and a waiter whose own context is live retries,
-// falling back to an uncached computation (a fresh, unshared entry) after
-// repeated peer cancellations; the returned error is only ever the waiter's
-// own context error. Injected faults evict the entry and surface to the
-// caller directly — the next lookup recomputes from scratch.
-func (c *ReplayCache) flight(k replayKey, opts Options, compute func(*replayEntry)) (*replayEntry, error) {
-	for attempt := 0; ; attempt++ {
-		e := c.entryFor(k)
-		e.once.Do(func() {
-			if err := faults.Check(faults.CacheFill); err != nil {
-				e.err = stagerr.Wrap(stagerr.Cache, err)
-				return
-			}
-			compute(e)
-		})
-		if e.err != nil && faults.IsInjected(e.err) {
-			c.evict(k, e)
-			return e, nil
-		}
-		retry, direct, ctxErr := c.retryAfterCtxError(k, e, opts, attempt)
-		if ctxErr != nil {
-			return nil, ctxErr
-		}
-		if direct {
-			e := &replayEntry{}
-			compute(e)
-			return e, nil
-		}
-		if retry {
-			continue
-		}
-		return e, nil
-	}
-}
-
-// evict drops e from the cache if it is still the entry memoized under k.
-func (c *ReplayCache) evict(k replayKey, e *replayEntry) {
-	c.mu.Lock()
-	if el, ok := c.m[k]; ok && el.Value.(*lruItem).entry == e {
-		c.lru.Remove(el)
-		delete(c.m, k)
-	}
-	c.mu.Unlock()
-}
-
-// entryFor returns the single-flight entry for k, inserting (and possibly
-// LRU-evicting) under the lock.
-func (c *ReplayCache) entryFor(k replayKey) *replayEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[k]; ok {
-		c.hits++
-		c.lru.MoveToFront(el)
-		return el.Value.(*lruItem).entry
-	}
-	c.misses++
-	e := &replayEntry{}
-	c.m[k] = c.lru.PushFront(&lruItem{key: k, entry: e})
-	if c.max > 0 && c.lru.Len() > c.max {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.m, back.Value.(*lruItem).key)
-		c.evictions++
-	}
-	return e
-}
-
-// retryAfterCtxError handles the one error class that must not be
-// memoized: a computation aborted by the computing caller's context. The
-// poisoned entry is dropped; a waiter whose own context died meanwhile
-// gets its own context's error (not the computing peer's), and a waiter
-// whose context is still live retries (bounded), falling back to an
-// uncached computation rather than looping on repeatedly cancelled peers.
-func (c *ReplayCache) retryAfterCtxError(k replayKey, e *replayEntry, opts Options, attempt int) (retry, direct bool, ctxErr error) {
-	if e.err == nil || !isCtxErr(e.err) {
-		return false, false, nil
-	}
-	c.evict(k, e)
-	if opts.Ctx != nil {
-		if own := opts.Ctx.Err(); own != nil {
-			return false, false, own
-		}
-	}
-	if attempt >= 2 {
-		return false, true, nil
-	}
-	return true, false, nil
-}
-
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	a, err := c.m.Do(opts.Ctx, k, func() (artifact, error) {
+		res, err := SimulateMachine(sim, m, opts)
+		return artifact{res: res}, err
+	})
+	return a.res, err
 }
 
 // MemoizedErrors lists the errors of every completed entry that memoized a
@@ -328,22 +194,7 @@ func (c *ReplayCache) MemoizedErrors() []error {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	entries := make([]*replayEntry, 0, len(c.m))
-	for _, el := range c.m {
-		entries = append(entries, el.Value.(*lruItem).entry)
-	}
-	c.mu.Unlock()
-	var errs []error
-	for _, e := range entries {
-		// once.Do on a completed entry is an immediate no-op that also
-		// publishes e.err; on an in-flight one it waits for the fill.
-		e.once.Do(func() {})
-		if e.err != nil {
-			errs = append(errs, e.err)
-		}
-	}
-	return errs
+	return c.m.Errors()
 }
 
 // Len reports the number of memoized entries (for tests and diagnostics).
@@ -351,9 +202,7 @@ func (c *ReplayCache) Len() int {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
+	return c.m.Stats().Entries
 }
 
 // Stats snapshots the hit/miss/eviction counters. Safe on a nil receiver
@@ -362,7 +211,5 @@ func (c *ReplayCache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: len(c.m)}
+	return c.m.Stats()
 }

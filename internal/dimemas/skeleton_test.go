@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/memo"
 	"repro/internal/stagerr"
 	"repro/internal/trace"
 )
@@ -468,7 +469,7 @@ func TestReplayCacheDoesNotMemoizeCancellation(t *testing.T) {
 	cancel()
 	opts := DefaultOptions()
 	opts.Ctx = ctx
-	if _, err := cache.Original(tr, p, opts); !isCtxErr(err) {
+	if _, err := cache.Original(tr, p, opts); !memo.IsCtxErr(err) {
 		t.Fatalf("cancelled replay returned %v, want a context error", err)
 	}
 	if cache.Len() != 0 {
@@ -485,7 +486,7 @@ func TestReplayCacheDoesNotMemoizeCancellation(t *testing.T) {
 	}
 	// Same for skeletons.
 	opts.Ctx = ctx
-	if _, err := cache.SkeletonFor(tr, p, opts); !isCtxErr(err) {
+	if _, err := cache.SkeletonFor(tr, p, opts); !memo.IsCtxErr(err) {
 		t.Fatalf("cancelled skeleton build returned %v, want a context error", err)
 	}
 	opts.Ctx = nil
@@ -521,11 +522,11 @@ func TestCancellationInsideLongRankStreams(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Ctx = &trippingCtx{Context: context.Background()}
-	if _, err := Simulate(tr, DefaultPlatform(), opts); !isCtxErr(err) {
+	if _, err := Simulate(tr, DefaultPlatform(), opts); !memo.IsCtxErr(err) {
 		t.Errorf("Simulate on a long rank stream returned %v, want a context error", err)
 	}
 	opts.Ctx = &trippingCtx{Context: context.Background()}
-	if _, err := BuildSkeleton(tr, DefaultPlatform(), opts); !isCtxErr(err) {
+	if _, err := BuildSkeleton(tr, DefaultPlatform(), opts); !memo.IsCtxErr(err) {
 		t.Errorf("BuildSkeleton on a long rank stream returned %v, want a context error", err)
 	}
 }
@@ -537,10 +538,10 @@ func TestSimulateHonorsContext(t *testing.T) {
 	cancel()
 	opts := DefaultOptions()
 	opts.Ctx = ctx
-	if _, err := Simulate(tr, p, opts); !isCtxErr(err) {
+	if _, err := Simulate(tr, p, opts); !memo.IsCtxErr(err) {
 		t.Fatalf("Simulate under a dead context returned %v, want a context error", err)
 	}
-	if _, err := BuildSkeleton(tr, p, opts); !isCtxErr(err) {
+	if _, err := BuildSkeleton(tr, p, opts); !memo.IsCtxErr(err) {
 		t.Fatalf("BuildSkeleton under a dead context returned %v, want a context error", err)
 	}
 	// A live context must not change the result.

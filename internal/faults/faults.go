@@ -23,7 +23,8 @@ type Point string
 
 // The injection sites wired into the pipeline.
 const (
-	// CacheFill fires inside ReplayCache single-flight fills.
+	// CacheFill fires inside every cached internal/memo fill: the replay
+	// cache and pwrsimd's generated-workload memo.
 	CacheFill Point = "cache.fill"
 	// SkeletonBuild fires at timing-skeleton construction.
 	SkeletonBuild Point = "skeleton.build"

@@ -13,6 +13,7 @@ import (
 	"repro/internal/dimemas"
 	"repro/internal/dvfs"
 	"repro/internal/faults"
+	"repro/internal/memo"
 	"repro/internal/timemodel"
 )
 
@@ -203,7 +204,7 @@ func TestChaosSoak(t *testing.T) {
 	for _, err := range s.cache.MemoizedErrors() {
 		if faults.IsInjected(err) {
 			t.Errorf("injected fault memoized in replay cache: %v", err)
-		} else if isCtxErr(err) {
+		} else if memo.IsCtxErr(err) {
 			t.Errorf("context error memoized in replay cache: %v", err)
 		}
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"log"
@@ -93,6 +94,7 @@ func TestErrorEnvelopeStages(t *testing.T) {
 		{"tracegen inline text", "/v1/tracegen", `{"trace": {"text": "x"}}`, "validate"},
 		{"gearopt grid below minimum", "/v1/gearopt", `{"traces": [{"app": "IS-32", "iterations": 3, "quick": true}], "grid": 1e-6}`, "validate"},
 		{"gearopt negative max_rounds", "/v1/gearopt", `{"traces": [{"app": "IS-32", "iterations": 3, "quick": true}], "max_rounds": -1}`, "validate"},
+		{"rebalance window above max", "/v1/rebalance", `{"trace": {"app": "IS-32", "iterations": 3, "quick": true}, "policy": "predictive", "predict": {"window": 288230376151711744}}`, "validate"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -259,6 +261,40 @@ func TestPanicRecovery(t *testing.T) {
 
 	if panics := s.reg.panics.Value(""); panics != 2 {
 		t.Fatalf("panic counter = %g, want 2", panics)
+	}
+}
+
+// TestPipelinePanicRecovery proves a panic in pipeline work — which runs off
+// the handler goroutine, out of withLifecycle's reach — is contained too: the
+// request answers the same 500 envelope a handler panic gets, the panic
+// counter moves, and the work's in-flight slot is free again.
+func TestPipelinePanicRecovery(t *testing.T) {
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(os.Stderr)
+	s := New(Config{MaxInFlight: 1})
+	h := s.withLifecycle(endpoint(s, "/test", func(context.Context, *struct{}) (*struct{}, error) {
+		panic("boom")
+	}))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/test", strings.NewReader("{}")))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var eb ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+		t.Fatalf("panic response is not an envelope: %s", rec.Body.Bytes())
+	}
+	if eb.Error != "internal error" || eb.Stage != string(stagerr.Serve) || eb.RequestID == "" {
+		t.Fatalf("panic envelope = %+v, want internal error / serve / a request ID", eb)
+	}
+	if panics := s.reg.panics.Value(""); panics != 1 {
+		t.Fatalf("panic counter = %g, want 1", panics)
+	}
+	select {
+	case s.sem <- struct{}{}:
+		<-s.sem
+	default:
+		t.Fatal("in-flight slot still held after the work panicked")
 	}
 }
 

@@ -24,6 +24,7 @@ func FuzzRebalanceBody(f *testing.F) {
 	f.Add(`{"policy": "predictive", "predict": {"kind": "nope"}}`)
 	f.Add(`{"trace": {"app": "IS-32", "iterations": 3, "quick": true}, "policy": "threshold", "predict": {"kind": "linear"}}`)
 	f.Add(`{"trace": {"app": "IS-32", "iterations": 3, "quick": true}, "policy": "predictive", "horizon": -1}`)
+	f.Add(`{"trace":{"app":"IS-32","iterations":3,"quick":true},"policy":"predictive","predict":{"window":288230376151711744}}`)
 	f.Add(`{"trace":`)
 	f.Add(`[]`)
 	f.Add(``)

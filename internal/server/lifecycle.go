@@ -30,7 +30,9 @@ func requestID(ctx context.Context) string {
 // /metrics) runs under. It assigns/echoes the request ID and contains
 // handler panics: a panicking request logs the stack, bumps the panic
 // counter, and answers a well-formed 500 envelope instead of killing the
-// daemon's connection (or, worse, the process).
+// daemon's connection (or, worse, the process). Panics in pipeline work,
+// which runs off the handler goroutine, are contained the same way by
+// endpoint.
 func (s *Server) withLifecycle(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := obs.RequestID(r.Header.Get(RequestIDHeader))
@@ -42,9 +44,7 @@ func (s *Server) withLifecycle(next http.Handler) http.Handler {
 			if v == nil {
 				return
 			}
-			s.reg.panics.Add("", 1)
-			log.Printf("pwrsimd: panic serving %s %s (request %s): %v\n%s",
-				r.Method, r.URL.Path, id, v, debug.Stack())
+			s.logPanic(r, v)
 			// A panic after the handler started writing cannot be turned
 			// into a clean envelope; the connection is torn down instead.
 			if !sw.wrote {
@@ -53,4 +53,12 @@ func (s *Server) withLifecycle(next http.Handler) http.Handler {
 		}()
 		next.ServeHTTP(sw, r)
 	})
+}
+
+// logPanic counts a recovered panic and logs it with the request's ID and
+// the panicking goroutine's stack.
+func (s *Server) logPanic(r *http.Request, v any) {
+	s.reg.panics.Add("", 1)
+	log.Printf("pwrsimd: panic serving %s %s (request %s): %v\n%s",
+		r.Method, r.URL.Path, requestID(r.Context()), v, debug.Stack())
 }

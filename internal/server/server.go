@@ -27,19 +27,18 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/dimemas"
 	"repro/internal/faults"
+	"repro/internal/memo"
 	"repro/internal/stagerr"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -113,19 +112,6 @@ type traceKey struct {
 	quick      bool
 }
 
-// traceEntry single-flights one workload generation.
-type traceEntry struct {
-	once sync.Once
-	tr   *trace.Trace
-	err  error
-}
-
-// traceItem pairs a key with its entry for LRU eviction.
-type traceItem struct {
-	key   traceKey
-	entry *traceEntry
-}
-
 // Server is the pwrsimd HTTP daemon. Create it with New; it is ready to
 // serve via Handler (tests), Serve (custom listener) or ListenAndServe.
 type Server struct {
@@ -138,10 +124,11 @@ type Server struct {
 	sem      chan struct{}
 	platform dimemas.Platform
 	state    atomic.Int32 // starting → ready → draining (see readiness.go)
-
-	tmu    sync.Mutex
-	traces map[traceKey]*list.Element
-	tlru   *list.List // front = most recently used; values are *traceItem
+	// traces memoizes generated workloads, bounded by TraceCacheEntries:
+	// a long-running daemon must not hold one trace per distinct (app,
+	// nprocs, iterations, quick) tuple forever. Replay-cache entries keyed
+	// by an evicted trace simply age out of that LRU in turn.
+	traces *memo.Cache[traceKey, *trace.Trace]
 }
 
 // New builds a Server over the default platform and power model.
@@ -153,8 +140,7 @@ func New(cfg Config) *Server {
 		mux:      http.NewServeMux(),
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		platform: cfg.Platform,
-		traces:   make(map[traceKey]*list.Element),
-		tlru:     list.New(),
+		traces:   memo.New[traceKey, *trace.Trace](cfg.TraceCacheEntries),
 	}
 	s.reg = newMetrics(s.cache, s.Ready)
 	s.routes()
@@ -168,13 +154,13 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/apps", s.instrument("/v1/apps", s.handleApps))
-	s.mux.HandleFunc("POST /v1/replay", s.limited("/v1/replay", s.handleReplay))
-	s.mux.HandleFunc("POST /v1/analyze", s.limited("/v1/analyze", s.handleAnalyze))
-	s.mux.HandleFunc("POST /v1/analyze/batch", s.limited("/v1/analyze/batch", s.handleAnalyzeBatch))
-	s.mux.HandleFunc("POST /v1/gearopt", s.limited("/v1/gearopt", s.handleGearOpt))
-	s.mux.HandleFunc("POST /v1/powercap", s.limited("/v1/powercap", s.handlePowercap))
-	s.mux.HandleFunc("POST /v1/rebalance", s.limited("/v1/rebalance", s.handleRebalance))
-	s.mux.HandleFunc("POST /v1/tracegen", s.limited("/v1/tracegen", s.handleTracegen))
+	s.mux.HandleFunc("POST /v1/replay", endpoint(s, "/v1/replay", s.replay))
+	s.mux.HandleFunc("POST /v1/analyze", endpoint(s, "/v1/analyze", s.analyze))
+	s.mux.HandleFunc("POST /v1/analyze/batch", endpoint(s, "/v1/analyze/batch", s.analyzeBatch))
+	s.mux.HandleFunc("POST /v1/gearopt", endpoint(s, "/v1/gearopt", s.gearOpt))
+	s.mux.HandleFunc("POST /v1/powercap", endpoint(s, "/v1/powercap", s.powercap))
+	s.mux.HandleFunc("POST /v1/rebalance", endpoint(s, "/v1/rebalance", s.rebalance))
+	s.mux.HandleFunc("POST /v1/tracegen", endpoint(s, "/v1/tracegen", s.tracegen))
 }
 
 // Handler exposes the full handler chain — lifecycle middleware (request
@@ -220,47 +206,18 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// semToken ties one in-flight semaphore slot to the lifetime of the actual
-// simulation work. A request that times out (504) abandons its goroutine
-// but must NOT free the slot early, or MaxInFlight would stop bounding the
-// number of concurrently running simulations; the work goroutine frees the
-// token when it really finishes.
-type semToken struct {
-	mu       sync.Mutex
-	claimed  bool
-	released bool
-	release  func()
-}
-
-// claim transfers release responsibility to a work goroutine; it returns
-// false if another call already owns the token.
-func (t *semToken) claim() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.claimed {
-		return false
-	}
-	t.claimed = true
-	return true
-}
-
-// free releases the semaphore slot exactly once.
-func (t *semToken) free() {
-	t.mu.Lock()
-	done := t.released
-	t.released = true
-	t.mu.Unlock()
-	if !done {
-		t.release()
-	}
-}
-
-type semTokenKey struct{}
-
-// limited wraps a simulation handler with the in-flight semaphore, the
-// per-request timeout and metrics. Handlers receive a request whose context
-// carries the deadline and the semaphore token consumed by call.
-func (s *Server) limited(route string, h http.HandlerFunc) http.HandlerFunc {
+// endpoint serves one simulation route: it takes an in-flight slot (503
+// before reading the body when none is free), bounds the request by the
+// per-request timeout and the body size, decodes a Req, and runs f off the
+// handler goroutine. The work goroutine owns the slot until f returns, so
+// MaxInFlight bounds running simulations, not just attached requests; and
+// since f threads ctx into the replay and retiming loops and into workload
+// generation's calibration replays (dimemas.Options.Ctx,
+// analysis.Config.Ctx, gearopt.Config.Ctx, workload.Config.Ctx), a
+// timed-out f aborts at its next cancellation check and the slot frees
+// promptly. A panic in f is contained like a handler panic: it is logged
+// and counted, and the request answers the 500 envelope.
+func endpoint[Req, Resp any](s *Server, route string, f func(context.Context, *Req) (*Resp, error)) http.HandlerFunc {
 	return s.instrument(route, func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case s.sem <- struct{}{}:
@@ -271,66 +228,57 @@ func (s *Server) limited(route string, h http.HandlerFunc) http.HandlerFunc {
 				fmt.Sprintf("server at capacity (%d in flight)", cap(s.sem)))
 			return
 		}
-		token := &semToken{release: func() { <-s.sem }}
-		defer func() {
-			// If no call() claimed the token (e.g. the body failed to
-			// decode), the slot is still ours to free.
-			if !token.claim() {
-				return
-			}
-			token.free()
-		}()
 		s.reg.inFlight.Add("", 1)
 		defer s.reg.inFlight.Add("", -1)
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
-		ctx = context.WithValue(ctx, semTokenKey{}, token)
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		h(w, r.WithContext(ctx))
-	})
-}
-
-// call runs f off-handler and returns its result, or ctx's error if the
-// deadline fires first. The in-flight slot is held until f truly returns,
-// so MaxInFlight bounds running simulations, not just attached requests —
-// but since the handlers thread ctx into the replay/retiming loops and
-// into workload generation's calibration replays (dimemas.Options.Ctx,
-// analysis.Config.Ctx, gearopt.Config.Ctx, workload.Config.Ctx), a
-// timed-out f aborts at its next cancellation check and the slot frees
-// promptly. A replay or generation cancelled mid-flight is not memoized,
-// so the shared caches never serve a dead request's cancellation to later
-// callers.
-func call[T any](ctx context.Context, f func() (T, error)) (T, error) {
-	token, _ := ctx.Value(semTokenKey{}).(*semToken)
-	owned := token != nil && token.claim()
-	type outcome struct {
-		v   T
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		if owned {
-			defer token.free()
+		req := new(Req)
+		if err := decode(r, req); err != nil {
+			<-s.sem
+			finishErr(s, w, r, err)
+			return
 		}
-		v, err := f()
-		ch <- outcome{v, err}
-	}()
-	select {
-	case o := <-ch:
-		return o.v, o.err
-	case <-ctx.Done():
-		var zero T
-		return zero, ctx.Err()
-	}
+		type outcome struct {
+			resp     *Resp
+			err      error
+			panicked bool
+		}
+		ch := make(chan outcome, 1)
+		go func() {
+			var o outcome
+			defer func() {
+				if v := recover(); v != nil {
+					s.logPanic(r, v)
+					o = outcome{panicked: true}
+				}
+				<-s.sem
+				ch <- o
+			}()
+			o.resp, o.err = f(ctx, req)
+		}()
+		select {
+		case o := <-ch:
+			switch {
+			case o.panicked:
+				s.writeError(w, r, http.StatusInternalServerError, stagerr.Serve, "internal error")
+			case o.err != nil:
+				finishErr(s, w, r, o.err)
+			default:
+				writeJSON(w, http.StatusOK, o.resp)
+			}
+		case <-ctx.Done():
+			finishErr(s, w, r, ctx.Err())
+		}
+	})
 }
 
 // traceFor resolves a TraceRef: inline text is parsed per request;
 // generated workloads are memoized so every request for the same instance
 // shares one trace identity — the property the replay cache keys on. The
 // request context is threaded into the calibration replays so a timed-out
-// request stops generating promptly; a generation aborted that way is not
-// memoized (waiters with live contexts retry, bounded, then generate
-// uncached rather than loop on repeatedly cancelled peers).
+// request stops generating promptly; the memo never keeps a generation
+// aborted that way (see internal/memo).
 func (s *Server) traceFor(ctx context.Context, spec TraceRef) (*trace.Trace, error) {
 	return span(s, stagerr.Parse, func() (*trace.Trace, error) { return s.traceResolve(ctx, spec) })
 }
@@ -355,67 +303,14 @@ func (s *Server) traceResolve(ctx context.Context, spec TraceRef) (*trace.Trace,
 	if iters == 0 {
 		iters = workload.DefaultConfig().Iterations
 	}
-	generate := func() (*trace.Trace, error) {
+	k := traceKey{app: inst.Name, nprocs: inst.NProcs, iterations: iters, quick: spec.Quick}
+	return s.traces.Do(ctx, k, func() (*trace.Trace, error) {
 		cfg := workload.DefaultConfig()
 		cfg.Iterations = iters
 		cfg.SkipPECalibration = spec.Quick
 		cfg.Ctx = ctx
 		return workload.Generate(inst, cfg)
-	}
-	k := traceKey{app: inst.Name, nprocs: inst.NProcs, iterations: iters, quick: spec.Quick}
-	for attempt := 0; ; attempt++ {
-		e := s.traceEntryFor(k)
-		e.once.Do(func() { e.tr, e.err = generate() })
-		if e.err == nil || !isCtxErr(e.err) {
-			return e.tr, e.err
-		}
-		s.tmu.Lock()
-		if el, ok := s.traces[k]; ok && el.Value.(*traceItem).entry == e {
-			s.tlru.Remove(el)
-			delete(s.traces, k)
-		}
-		s.tmu.Unlock()
-		if ctx != nil {
-			if own := ctx.Err(); own != nil {
-				return nil, own
-			}
-		}
-		if attempt >= 2 {
-			return generate()
-		}
-	}
-}
-
-// traceEntryFor returns the single-flight memo entry for k, inserting (and
-// possibly LRU-evicting) under the lock.
-func (s *Server) traceEntryFor(k traceKey) *traceEntry {
-	s.tmu.Lock()
-	defer s.tmu.Unlock()
-	if el, ok := s.traces[k]; ok {
-		s.tlru.MoveToFront(el)
-		return el.Value.(*traceItem).entry
-	}
-	e := &traceEntry{}
-	s.traces[k] = s.tlru.PushFront(&traceItem{key: k, entry: e})
-	// Bound the memo: a long-running daemon must not accumulate one
-	// trace per distinct (app, nprocs, iterations, quick) tuple
-	// forever. Replay-cache entries keyed by an evicted trace simply
-	// age out of that LRU in turn.
-	if max := s.cfg.TraceCacheEntries; max > 0 && s.tlru.Len() > max {
-		back := s.tlru.Back()
-		s.tlru.Remove(back)
-		delete(s.traces, back.Value.(*traceItem).key)
-	}
-	return e
-}
-
-// isCtxErr mirrors the replay cache's classification of non-memoizable
-// cancellation errors. The whole single-flight-with-ctx-eviction pattern
-// in traceFor deliberately parallels dimemas.ReplayCache.flight /
-// retryAfterCtxError (the entry payloads and eviction policies differ);
-// keep behavioral changes to one in sync with the other.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	})
 }
 
 // writeJSON writes v as a compact JSON body with a trailing newline.

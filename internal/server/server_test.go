@@ -543,11 +543,8 @@ func TestTraceCacheBounded(t *testing.T) {
 			t.Fatalf("%s: status %d: %s", app, code, body)
 		}
 	}
-	s.tmu.Lock()
-	n, lruLen := len(s.traces), s.tlru.Len()
-	s.tmu.Unlock()
-	if n != 1 || lruLen != 1 {
-		t.Fatalf("trace memo holds %d map entries / %d lru entries, want 1/1", n, lruLen)
+	if n := s.traces.Stats().Entries; n != 1 {
+		t.Fatalf("trace memo holds %d entries, want 1", n)
 	}
 }
 
@@ -684,9 +681,7 @@ func TestTimedOutGenerationNotMemoized(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s.tmu.Lock()
-		n := s.tlru.Len()
-		s.tmu.Unlock()
+		n := s.traces.Stats().Entries
 		if n == 0 {
 			return
 		}
@@ -700,27 +695,20 @@ func TestTimedOutGenerationNotMemoized(t *testing.T) {
 // TestTimeoutKeepsSlotUntilWorkFinishes proves a 504'd request's abandoned
 // work keeps holding its in-flight slot (so MaxInFlight bounds running
 // simulations, not just attached requests), and that the slot is freed once
-// the work really completes. It drives limited/call directly with a
-// blockable work function to make the ordering deterministic.
+// the work really completes. It drives endpoint directly with a blockable
+// work function to make the ordering deterministic.
 func TestTimeoutKeepsSlotUntilWorkFinishes(t *testing.T) {
 	s := New(Config{MaxInFlight: 1, RequestTimeout: time.Millisecond})
 	started := make(chan struct{})
 	release := make(chan struct{})
-	h := s.limited("/test", func(w http.ResponseWriter, r *http.Request) {
-		_, err := call(r.Context(), func() (struct{}, error) {
-			close(started)
-			<-release
-			return struct{}{}, nil
-		})
-		if err != nil {
-			finishErr(s, w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	h := endpoint(s, "/test", func(context.Context, *struct{}) (*map[string]bool, error) {
+		close(started)
+		<-release
+		return &map[string]bool{"ok": true}, nil
 	})
 	do := func() int {
 		rec := httptest.NewRecorder()
-		h(rec, httptest.NewRequest("POST", "/test", nil))
+		h(rec, httptest.NewRequest("POST", "/test", strings.NewReader("{}")))
 		return rec.Code
 	}
 

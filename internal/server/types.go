@@ -577,7 +577,8 @@ func (d *DriftSpec) drift() (workload.Drift, error) {
 type PredictSpec struct {
 	// Kind is the model: "linear" (default) or "ewma".
 	Kind string `json:"kind,omitempty"`
-	// Window is the fit and skill-tracking window (observations).
+	// Window is the fit and skill-tracking window (observations, at most
+	// MaxRebalanceIterations).
 	Window int `json:"window,omitempty"`
 	// Alpha is the EWMA smoothing factor in (0, 1].
 	Alpha float64 `json:"alpha,omitempty"`
@@ -600,6 +601,13 @@ func (p *PredictSpec) config() (predict.Config, error) {
 			return predict.Config{}, stagerr.Errorf(stagerr.Validate, "%w", err)
 		}
 		cfg.Kind = k
+	}
+	// The forecaster sizes its history by the window and takes one
+	// observation per online iteration, so a window past the iteration
+	// bound never fills; rejecting it here keeps a hostile window from
+	// reaching that allocation.
+	if p.Window > MaxRebalanceIterations {
+		return predict.Config{}, stagerr.Errorf(stagerr.Validate, "predict: window must be at most %d (the iteration bound), got %d", MaxRebalanceIterations, p.Window)
 	}
 	if p.Window != 0 {
 		cfg.Window = p.Window
