@@ -468,25 +468,8 @@ func (s *Skeleton) checkVectors(freqs, scale []float64) error {
 // schedule and publishes the outcome into res, with segments when
 // recordTimeline is set. Arguments must already be checked.
 func (s *Skeleton) kernel(res *Result, freqs, scale []float64, recordTimeline bool) {
-	n := s.nranks
-	c := retimePool.Get().(*retimeContext)
+	c := s.prepare(freqs)
 	defer retimePool.Put(c)
-	c.clock = resetSlice(c.clock, n)
-	c.comp = resetSlice(c.comp, n)
-	c.slot = grow(c.slot, s.nslots) // written by eager posts before receives read
-	c.sd = grow(c.sd, n)
-	c.freq = grow(c.freq, n)
-	for r := 0; r < n; r++ {
-		f := s.fmax
-		if freqs != nil {
-			f = freqs[r]
-		}
-		c.freq[r] = f
-		// Slowdown is deterministic per argument triple, so evaluating it
-		// once per rank yields the same bits Simulate gets evaluating it
-		// once per record.
-		c.sd[r] = timemodel.Slowdown(s.beta, s.fmax, f)
-	}
 	var segs [][]Segment
 	if recordTimeline {
 		segs = s.timeline(c, scale)
@@ -503,6 +486,31 @@ func (s *Skeleton) kernel(res *Result, freqs, scale []float64, recordTimeline bo
 			res.Time = t
 		}
 	}
+}
+
+// prepare takes a pass context from the pool with zeroed clocks and the
+// per-rank frequencies and default-β slowdowns of freqs resolved; the caller
+// returns it to retimePool.
+func (s *Skeleton) prepare(freqs []float64) *retimeContext {
+	n := s.nranks
+	c := retimePool.Get().(*retimeContext)
+	c.clock = resetSlice(c.clock, n)
+	c.comp = resetSlice(c.comp, n)
+	c.slot = grow(c.slot, s.nslots) // written by eager posts before receives read
+	c.sd = grow(c.sd, n)
+	c.freq = grow(c.freq, n)
+	for r := 0; r < n; r++ {
+		f := s.fmax
+		if freqs != nil {
+			f = freqs[r]
+		}
+		c.freq[r] = f
+		// Slowdown is deterministic per argument triple, so evaluating it
+		// once per rank yields the same bits Simulate gets evaluating it
+		// once per record.
+		c.sd[r] = timemodel.Slowdown(s.beta, s.fmax, f)
+	}
+	return c
 }
 
 // walk applies the op semantics of ops, a contiguous run of the schedule,

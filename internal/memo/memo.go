@@ -12,7 +12,10 @@
 //     waiter whose context is live retries — after repeated cancellations
 //     by its peers it computes uncached rather than loop on them;
 //   - an injected fault (internal/faults): the entry is evicted and the
-//     fault is returned, so the next lookup recomputes from scratch.
+//     fault is returned, so the next lookup recomputes from scratch;
+//   - a fill that panics: the entry is evicted, the waiters sharing it get
+//     ErrFillPanicked, and the panic continues in the goroutine that ran
+//     the fill, so whatever contains panics there still sees it.
 //
 // Every cached fill crosses the cache.fill fault point first; the uncached
 // fallback does not, as it memoizes nothing.
@@ -27,6 +30,10 @@ import (
 	"repro/internal/faults"
 	"repro/internal/stagerr"
 )
+
+// ErrFillPanicked is the error (tagged with the cache stage) that callers
+// sharing a fill get when that fill panicked in another goroutine.
+var ErrFillPanicked = errors.New("memo: fill panicked")
 
 // maxPeerCancellations is how many fills in a row a live waiter watches its
 // peers' contexts abort before it computes uncached.
@@ -80,6 +87,15 @@ func (c *Cache[K, V]) Do(ctx context.Context, k K, fill func() (V, error)) (V, e
 	for attempt := 1; ; attempt++ {
 		e := c.entryFor(k)
 		e.once.Do(func() {
+			// sync.Once counts a panicking call as done, so without this
+			// the entry would stay memoized as (zero value, nil error).
+			defer func() {
+				if p := recover(); p != nil {
+					e.err = stagerr.Wrap(stagerr.Cache, ErrFillPanicked)
+					c.evict(e)
+					panic(p)
+				}
+			}()
 			if err := faults.Check(faults.CacheFill); err != nil {
 				e.err = stagerr.Wrap(stagerr.Cache, err)
 				return

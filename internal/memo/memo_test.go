@@ -253,6 +253,58 @@ func TestInjectedFaultEvicted(t *testing.T) {
 	}
 }
 
+// TestPanickingFillNotMemoized: a fill that panics re-panics in its own
+// goroutine, hands every waiter sharing it a cache-stage error (never the
+// zero value with a nil error), and leaves nothing memoized, so the next
+// lookup runs the fill again.
+func TestPanickingFillNotMemoized(t *testing.T) {
+	c := New[string, *int](0)
+	var runs atomic.Int32
+	release := make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Do(nil, "k", func() (*int, error) {
+			runs.Add(1)
+			<-release
+			panic("boom")
+		})
+	}()
+	waitFor(func() bool { return runs.Load() == 1 })
+	type outcome struct {
+		v   *int
+		err error
+	}
+	waiter := make(chan outcome, 1)
+	go func() {
+		v, err := c.Do(nil, "k", func() (*int, error) { t.Error("waiter ran its own fill"); return nil, nil })
+		waiter <- outcome{v, err}
+	}()
+	waitFor(func() bool { return c.Stats().Hits == 1 })
+	close(release)
+	if p := <-panicked; p != "boom" {
+		t.Fatalf("filling goroutine recovered %v, want the fill's panic", p)
+	}
+	got := <-waiter
+	if got.err == nil || !errors.Is(got.err, ErrFillPanicked) {
+		t.Fatalf("waiter got (%v, %v), want ErrFillPanicked", got.v, got.err)
+	}
+	if st, _ := stagerr.StageOf(got.err); st != stagerr.Cache {
+		t.Fatalf("stage = %q, want cache", st)
+	}
+	if n := c.Stats().Entries; n != 0 {
+		t.Fatalf("panicking fill memoized (%d entries)", n)
+	}
+	want := 7
+	v, err := c.Do(nil, "k", func() (*int, error) { runs.Add(1); return &want, nil })
+	if err != nil || v == nil || *v != 7 {
+		t.Fatalf("next lookup = (%v, %v), want a fresh fill of 7", v, err)
+	}
+	if r := runs.Load(); r != 2 {
+		t.Fatalf("%d fills ran, want the panicking one and a fresh one", r)
+	}
+}
+
 // TestErrorsWaitsOnInFlight: Errors settles an in-flight entry before
 // reporting it, and an ordinary failure stays memoized.
 func TestErrorsWaitsOnInFlight(t *testing.T) {

@@ -11,11 +11,27 @@ import (
 // reference the equivalence tests and BenchmarkPowercapSweepSimulate hold
 // the production path against. Results must agree bit for bit.
 func RunFresh(cfg Config) (*Result, error) {
-	res, err := run(cfg, newFreshReplayer)
+	res, _, err := run(cfg, newFreshReplayer)
 	if err != nil {
 		return nil, stagerr.Wrap(stagerr.Powercap, err)
 	}
 	return res, nil
+}
+
+// ReclaimStats counts how slack reclamation's downshift probes resolved in
+// one run: certified slower by the slack table without a replay (Screened),
+// replayed and rejected (Walked), or replayed and committed (Accepted).
+type ReclaimStats struct {
+	Screened, Walked, Accepted int
+}
+
+// RunReclaimStats is Run that also reports its slack-reclamation counts.
+func RunReclaimStats(cfg Config) (*Result, ReclaimStats, error) {
+	res, st, err := run(cfg, newSkeletonReplayer)
+	if err != nil {
+		return nil, ReclaimStats{}, stagerr.Wrap(stagerr.Powercap, err)
+	}
+	return res, ReclaimStats{Screened: st.screened, Walked: st.walked, Accepted: st.accepted}, nil
 }
 
 // freshReplayer simulates the run's trace from scratch for every vector.
@@ -34,6 +50,10 @@ func (f *freshReplayer) probe(freqs []float64) (*dimemas.Result, error) {
 	opts.Freqs = freqs
 	return dimemas.SimulateMachine(f.tr, f.machine, opts)
 }
+
+// slack certifies nothing: RunFresh scores every probe, so it is the
+// unscreened reference for the production path's slack screen.
+func (f *freshReplayer) slack([]float64) (*dimemas.SlackTable, error) { return nil, nil }
 
 func (f *freshReplayer) timeline(freqs []float64) (*dimemas.Result, error) {
 	opts := f.opts

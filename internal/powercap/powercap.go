@@ -18,11 +18,15 @@
 //     for it, and finally reclaims leftover slack for pure energy savings at
 //     unchanged execution time.
 //
-// Every candidate is scored exactly: the execution time of a gear vector is
-// the retimed replay of the trace's timing skeleton
-// (dimemas.ReplayCache.SkeletonFor + Skeleton.RetimeInto), bit-identical to
-// a fresh simulation at a fraction of the cost, which is what makes a cap
-// sweep run at retime speed rather than replay speed.
+// Every candidate is scored exactly or certified slower by the slack table.
+// The execution time of a scored gear vector is the retimed replay of the
+// trace's timing skeleton (dimemas.ReplayCache.SkeletonFor +
+// Skeleton.RetimeDelta), bit-identical to a fresh simulation at a fraction
+// of the cost, which is what makes a cap sweep run at retime speed rather
+// than replay speed. Slack reclamation, whose downshift probes mostly come
+// out slower, first asks the head/tail slack table of its entry vector
+// (dimemas.Skeleton.Slack), which proves most of them slower without a
+// retime; those probes are rejected exactly as a replay would reject them.
 package powercap
 
 import (
@@ -186,7 +190,8 @@ type Result struct {
 	// redistribution result never loses to uniform on (time, energy): the
 	// greedy falls back to the uniform solution when that one dominates.
 	Uniform, Redistributed Schedule
-	// Evaluations counts candidate gear vectors scored by exact replay.
+	// Evaluations counts candidate gear vectors scored by exact replay or
+	// certified slower by the slack table.
 	Evaluations int
 }
 
@@ -242,6 +247,14 @@ type scheduler struct {
 	usage    []power.Usage
 	maxMoves int
 	evals    int
+	reclaim  reclaimStats
+}
+
+// reclaimStats counts how slack reclamation's downshift probes resolved:
+// certified slower by the slack table, or retimed and then rejected or
+// accepted. Every probe is also one evaluation.
+type reclaimStats struct {
+	screened, walked, accepted int
 }
 
 // Run schedules the trace under the configured power cap with both policies
@@ -250,7 +263,7 @@ type scheduler struct {
 // the validate stage, everything else crosses powercap with the origin
 // stage preserved underneath.
 func Run(cfg Config) (*Result, error) {
-	res, err := run(cfg, newSkeletonReplayer)
+	res, _, err := run(cfg, newSkeletonReplayer)
 	if err != nil {
 		return nil, stagerr.Wrap(stagerr.Powercap, err)
 	}
@@ -266,6 +279,9 @@ type replayer interface {
 	probe(freqs []float64) (*dimemas.Result, error)
 	// timeline replays one frequency vector with timeline recording.
 	timeline(freqs []float64) (*dimemas.Result, error)
+	// slack returns the head/tail table of one frequency vector
+	// (dimemas.Skeleton.Slack); nil certifies nothing.
+	slack(freqs []float64) (*dimemas.SlackTable, error)
 }
 
 // skeletonReplayer answers each probe with one full retime pass, unless the
@@ -292,27 +308,33 @@ func (r *skeletonReplayer) timeline(freqs []float64) (*dimemas.Result, error) {
 	return r.skel.Retime(freqs, true)
 }
 
-func run(cfg Config, newReplayer func(*Config, dimemas.Machine, dimemas.Options) (replayer, error)) (*Result, error) {
+func (r *skeletonReplayer) slack(freqs []float64) (*dimemas.SlackTable, error) {
+	return r.skel.Slack(freqs)
+}
+
+// run is Run over an injected replayer; it also reports how slack
+// reclamation's probes resolved.
+func run(cfg Config, newReplayer func(*Config, dimemas.Machine, dimemas.Options) (replayer, error)) (*Result, reclaimStats, error) {
 	if err := cfg.normalize(); err != nil {
-		return nil, stagerr.Wrap(stagerr.Validate, err)
+		return nil, reclaimStats{}, stagerr.Wrap(stagerr.Validate, err)
 	}
 	opts, err := dimemas.ModelOptions(cfg.Beta, cfg.FMax)
 	if err != nil {
-		return nil, err
+		return nil, reclaimStats{}, err
 	}
 	opts.Ctx = cfg.Ctx
 	pm, err := power.New(cfg.Power)
 	if err != nil {
-		return nil, err
+		return nil, reclaimStats{}, err
 	}
 	machine, err := dimemas.ResolveMachine(cfg.Platform, cfg.Machine, cfg.Trace.NumRanks())
 	if err != nil {
-		return nil, err
+		return nil, reclaimStats{}, err
 	}
 
 	rep, err := newReplayer(&cfg, machine, opts)
 	if err != nil {
-		return nil, err
+		return nil, reclaimStats{}, err
 	}
 	// The timeline baseline doubles as the uncapped reference and the
 	// slack-ordering source; through a cache it is shared across every row
@@ -321,7 +343,7 @@ func run(cfg Config, newReplayer func(*Config, dimemas.Machine, dimemas.Options)
 	tlOpts.RecordTimeline = true
 	base, err := cfg.Cache.OriginalMachine(cfg.Trace, machine, tlOpts)
 	if err != nil {
-		return nil, fmt.Errorf("powercap: baseline replay: %w", err)
+		return nil, reclaimStats{}, fmt.Errorf("powercap: baseline replay: %w", err)
 	}
 
 	n := len(base.Compute)
@@ -343,7 +365,7 @@ func run(cfg Config, newReplayer func(*Config, dimemas.Machine, dimemas.Options)
 	}
 	for gi, g := range gears {
 		if g.Freq <= 0 || g.Volt <= 0 {
-			return nil, fmt.Errorf("powercap: invalid gear %v in set %s", g, cfg.Set.Name())
+			return nil, reclaimStats{}, fmt.Errorf("powercap: invalid gear %v in set %s", g, cfg.Set.Name())
 		}
 		s.pComp[gi] = pm.Power(power.Compute, g)
 		s.sd[gi] = timemodel.Slowdown(opts.Beta, opts.FMax, g.Freq)
@@ -371,11 +393,11 @@ func run(cfg Config, newReplayer func(*Config, dimemas.Machine, dimemas.Options)
 	}
 	baseEnergy, err := s.energyOf(nomGears, base)
 	if err != nil {
-		return nil, err
+		return nil, reclaimStats{}, err
 	}
 	baseProfile, err := power.BuildProfileScaled(pm, base.Timeline, nomGears, s.pscale, base.Time)
 	if err != nil {
-		return nil, fmt.Errorf("powercap: baseline profile: %w", err)
+		return nil, reclaimStats{}, fmt.Errorf("powercap: baseline profile: %w", err)
 	}
 	ref := RefStats{
 		Time:         base.Time,
@@ -386,11 +408,11 @@ func run(cfg Config, newReplayer func(*Config, dimemas.Machine, dimemas.Options)
 
 	uniIdx, uniTime, uniEnergy, err := s.uniform()
 	if err != nil {
-		return nil, err
+		return nil, reclaimStats{}, err
 	}
 	redIdx, redTime, redEnergy, err := s.redistribute()
 	if err != nil {
-		return nil, err
+		return nil, reclaimStats{}, err
 	}
 	// The uniform assignment is also a valid redistribution outcome: fall
 	// back to it when the greedy lost on (time, energy), so redistribution
@@ -401,11 +423,11 @@ func run(cfg Config, newReplayer func(*Config, dimemas.Machine, dimemas.Options)
 
 	uniform, err := s.finish(PolicyUniform, uniIdx, ref)
 	if err != nil {
-		return nil, err
+		return nil, reclaimStats{}, err
 	}
 	redistributed, err := s.finish(PolicyRedistribute, redIdx, ref)
 	if err != nil {
-		return nil, err
+		return nil, reclaimStats{}, err
 	}
 	return &Result{
 		App:           cfg.Trace.App,
@@ -415,22 +437,16 @@ func run(cfg Config, newReplayer func(*Config, dimemas.Machine, dimemas.Options)
 		Uniform:       *uniform,
 		Redistributed: *redistributed,
 		Evaluations:   s.evals,
-	}, nil
+	}, s.reclaim, nil
 }
 
 // evaluate scores one gear-index vector exactly: the replay's execution
 // time plus the energy of the run at those gears.
 func (s *scheduler) evaluate(idx []int) (time, energy float64, err error) {
-	if ctx := s.cfg.Ctx; ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, 0, err
-		}
+	if err := s.count(); err != nil {
+		return 0, 0, err
 	}
-	s.evals++
-	for r, gi := range idx {
-		s.freqs[r] = s.gears[gi].Freq
-	}
-	res, err := s.rep.probe(s.freqs)
+	res, err := s.rep.probe(s.freqsOf(idx))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -448,6 +464,27 @@ func (s *scheduler) evaluate(idx []int) (time, energy float64, err error) {
 		return 0, 0, err
 	}
 	return res.Time, e, nil
+}
+
+// count books one candidate evaluation: it polls the run's context, then
+// bumps the evaluation counter.
+func (s *scheduler) count() error {
+	if ctx := s.cfg.Ctx; ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+	s.evals++
+	return nil
+}
+
+// freqsOf writes the frequencies of a gear-index vector into the shared
+// buffer s.freqs and returns it.
+func (s *scheduler) freqsOf(idx []int) []float64 {
+	for r, gi := range idx {
+		s.freqs[r] = s.gears[gi].Freq
+	}
+	return s.freqs
 }
 
 // energyOf accounts the energy of an already replayed run at explicit gears.
@@ -685,6 +722,18 @@ func (s *scheduler) redistribute() (idx []int, time, energy float64, err error) 
 	// Phase 3 — slack reclamation: a downshift strictly reduces the peak
 	// bound, and a committed one (equal time, lower energy) also reduces
 	// the average power, so committed moves can never break the cap.
+	//
+	// A probe the phase-entry slack table certifies slower is rejected
+	// without a replay (it still counts as an evaluation and polls the
+	// context). One table serves the whole phase: curTime never changes
+	// here, since a commit needs tTime == curTime, and every committed move
+	// is a downshift, so each probe's vector lies at or below the table's
+	// on every rank — the condition under which SlackTable.Slower proves
+	// tTime > curTime.
+	slack, err := s.rep.slack(s.freqsOf(idx))
+	if err != nil {
+		return nil, 0, 0, err
+	}
 	for {
 		changed := false
 		for r := 0; r < n; r++ {
@@ -692,6 +741,14 @@ func (s *scheduler) redistribute() (idx []int, time, energy float64, err error) 
 				continue
 			}
 			idx[r]--
+			if slack.Slower(r, s.gears[idx[r]].Freq) {
+				if err := s.count(); err != nil {
+					return nil, 0, 0, err
+				}
+				s.reclaim.screened++
+				idx[r]++
+				continue
+			}
 			tTime, tEnergy, err := s.evaluate(idx)
 			if err != nil {
 				return nil, 0, 0, err
@@ -699,8 +756,10 @@ func (s *scheduler) redistribute() (idx []int, time, energy float64, err error) 
 			if tTime == curTime && tEnergy < curEnergy {
 				curEnergy = tEnergy
 				changed = true
+				s.reclaim.accepted++
 			} else {
 				idx[r]++
+				s.reclaim.walked++
 			}
 		}
 		if !changed {

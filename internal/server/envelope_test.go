@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/memo"
 	"repro/internal/stagerr"
 )
 
@@ -295,6 +296,25 @@ func TestPipelinePanicRecovery(t *testing.T) {
 		<-s.sem
 	default:
 		t.Fatal("in-flight slot still held after the work panicked")
+	}
+}
+
+// TestSharedFillPanicIsServerError: a request that shared a memo fill which
+// panicked in another request's goroutine answers a 500 cache-stage
+// envelope, not a client error.
+func TestSharedFillPanicIsServerError(t *testing.T) {
+	s := New(Config{MaxInFlight: 1})
+	h := s.withLifecycle(endpoint(s, "/test", func(context.Context, *struct{}) (*struct{}, error) {
+		return nil, stagerr.Wrap(stagerr.Cache, memo.ErrFillPanicked)
+	}))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/test", strings.NewReader("{}")))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var eb ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Stage != string(stagerr.Cache) {
+		t.Fatalf("envelope = %s, want the cache stage", rec.Body.Bytes())
 	}
 }
 

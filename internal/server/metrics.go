@@ -37,7 +37,7 @@ func newMetrics(cache *dimemas.ReplayCache, ready func() bool) *metrics {
 	m.inFlight = r.Gauge("pwrsimd_in_flight", "Requests currently being served.")
 	m.rejected = r.Counter("pwrsimd_rejected_total", "Requests rejected by the in-flight limit.")
 	m.timeouts = r.Counter("pwrsimd_timeouts_total", "Requests aborted by the per-request timeout.")
-	m.panics = r.Counter("pwrsimd_panics_total", "Handler panics contained by the lifecycle middleware.")
+	m.panics = r.Counter("pwrsimd_panics_total", "Panics contained by the lifecycle middleware or by a simulation route's work goroutine.")
 	r.Gauge("pwrsimd_ready", "Readiness (1 = serving, 0 = starting or draining; see /readyz).").
 		Reads(func(string) float64 { return obs.Bit(ready()) })
 

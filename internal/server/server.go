@@ -376,7 +376,7 @@ func finishErr(s *Server, w http.ResponseWriter, r *http.Request, err error) {
 			stage = st
 		}
 		status := http.StatusBadRequest
-		if faults.IsInjected(err) {
+		if faults.IsInjected(err) || errors.Is(err, memo.ErrFillPanicked) {
 			status = http.StatusInternalServerError
 		}
 		s.writeError(w, r, status, stage, err.Error())
