@@ -140,6 +140,15 @@ func IterMark() Record { return Record{Kind: KindIterMark} }
 // (the record count changes), but editing records in place after a replay
 // is not detected and yields stale, silently wrong replays — build a new
 // trace (or use ScaleCompute/ScaleComputePhased/Slice, which copy) instead.
+//
+// One in-place edit is sound and sanctioned: workload.Generate rewrites
+// only the message sizes of a trace it alone holds between the replays of
+// its calibration. The cached index depends only on structure (channels,
+// collective counts, send slots), and the byte checks in its cached Match
+// verdict (non-negative sizes, equal sizes at both ends of a message and
+// across a collective) hold at every size it writes, because both ends of
+// a message take their size from the same base. The trace it returns is a
+// fresh copy.
 type Trace struct {
 	// App names the traced application instance, e.g. "BT-MZ-32".
 	App string

@@ -9,9 +9,10 @@ import (
 // that rendezvous-protocol messages never deadlock, exactly as well-written
 // MPI codes do.
 
-// ringExchange appends a one-direction ring shift (each rank sends `bytes`
-// to (r+1) mod n and receives from (r−1+n) mod n) to every rank's timeline.
-func ringExchange(tr *trace.Trace, n int, bytes int64, tag int) {
+// ringExchange appends a one-direction ring shift (each rank sends a
+// message of base size to (r+1) mod n and receives from (r−1+n) mod n) to
+// every rank's timeline.
+func ringExchange(e *emitter, n int, base int64, tag int) {
 	if n < 2 {
 		return
 	}
@@ -19,20 +20,12 @@ func ringExchange(tr *trace.Trace, n int, bytes int64, tag int) {
 		right := (r + 1) % n
 		left := (r - 1 + n) % n
 		if r%2 == 0 {
-			tr.Add(r, trace.Send(right, bytes, tag), trace.Recv(left, bytes, tag))
+			e.scaled(r, trace.Send(right, 0, tag), base)
+			e.scaled(r, trace.Recv(left, 0, tag), base)
 		} else {
-			tr.Add(r, trace.Recv(left, bytes, tag), trace.Send(right, bytes, tag))
+			e.scaled(r, trace.Recv(left, 0, tag), base)
+			e.scaled(r, trace.Send(right, 0, tag), base)
 		}
-	}
-}
-
-// pairExchange appends a bidirectional neighbour exchange between rank pairs
-// (2k, 2k+1): each partner sends `bytes` to the other. A leftover last rank
-// (odd n) sits the phase out.
-func pairExchange(tr *trace.Trace, n int, bytes int64, tag int) {
-	for r := 0; r+1 < n; r += 2 {
-		tr.Add(r, trace.Send(r+1, bytes, tag), trace.Recv(r+1, bytes, tag))
-		tr.Add(r+1, trace.Recv(r, bytes, tag), trace.Send(r, bytes, tag))
 	}
 }
 
@@ -49,9 +42,9 @@ func gridDims(n int) (nx, ny int) {
 
 // haloExchange2D appends a four-neighbour (torus) halo exchange over an
 // nx×ny process grid: one ring shift per direction along each axis. Rank r
-// sits at (r mod nx, r div nx). Axes of length 1 are skipped. Tags tagBase
-// through tagBase+3 are used.
-func haloExchange2D(tr *trace.Trace, nx, ny int, bytes int64, tagBase int) {
+// sits at (r mod nx, r div nx). Every message has the base size. Axes of
+// length 1 are skipped. Tags tagBase through tagBase+3 are used.
+func haloExchange2D(e *emitter, nx, ny int, base int64, tagBase int) {
 	n := nx * ny
 	// X axis: +1 and −1 shifts within each row.
 	if nx >= 2 {
@@ -68,9 +61,11 @@ func haloExchange2D(tr *trace.Trace, nx, ny int, bytes int64, tagBase int) {
 					src = iy*nx + (ix+1)%nx
 				}
 				if ix%2 == 0 {
-					tr.Add(r, trace.Send(dst, bytes, tag), trace.Recv(src, bytes, tag))
+					e.scaled(r, trace.Send(dst, 0, tag), base)
+					e.scaled(r, trace.Recv(src, 0, tag), base)
 				} else {
-					tr.Add(r, trace.Recv(src, bytes, tag), trace.Send(dst, bytes, tag))
+					e.scaled(r, trace.Recv(src, 0, tag), base)
+					e.scaled(r, trace.Send(dst, 0, tag), base)
 				}
 			}
 		}
@@ -90,32 +85,37 @@ func haloExchange2D(tr *trace.Trace, nx, ny int, bytes int64, tagBase int) {
 					src = ((iy+1)%ny)*nx + ix
 				}
 				if iy%2 == 0 {
-					tr.Add(r, trace.Send(dst, bytes, tag), trace.Recv(src, bytes, tag))
+					e.scaled(r, trace.Send(dst, 0, tag), base)
+					e.scaled(r, trace.Recv(src, 0, tag), base)
 				} else {
-					tr.Add(r, trace.Recv(src, bytes, tag), trace.Send(dst, bytes, tag))
+					e.scaled(r, trace.Recv(src, 0, tag), base)
+					e.scaled(r, trace.Send(dst, 0, tag), base)
 				}
 			}
 		}
 	}
 }
 
-// collective appends the same collective record to every rank.
-func collective(tr *trace.Trace, n int, c trace.Collective, bytes int64) {
+// collective appends the same collective record, with a per-rank payload of
+// base size, to every rank.
+func collective(e *emitter, n int, c trace.Collective, base int64) {
 	for r := 0; r < n; r++ {
-		tr.Add(r, trace.Coll(c, bytes))
+		e.scaled(r, trace.Coll(c, 0), base)
+	}
+}
+
+// allReduce appends a scalar reduction (a dot product, a residual norm) of
+// fixed size to every rank: its payload does not grow with the exchanged
+// data, so the calibration never scales it.
+func allReduce(e *emitter, n int, bytes int64) {
+	for r := 0; r < n; r++ {
+		e.add(r, trace.Coll(trace.CollAllReduce, bytes))
 	}
 }
 
 // computePhase appends per-rank computation bursts (seconds at fmax).
-func computePhase(tr *trace.Trace, loads []float64) {
+func computePhase(e *emitter, loads []float64) {
 	for r, w := range loads {
-		tr.Add(r, trace.Compute(w))
-	}
-}
-
-// iterMarks closes an iteration on every rank.
-func iterMarks(tr *trace.Trace, n int) {
-	for r := 0; r < n; r++ {
-		tr.Add(r, trace.IterMark())
+		e.add(r, trace.Compute(w))
 	}
 }

@@ -66,8 +66,9 @@ type plan struct {
 	inst   Instance
 	phases [][]float64
 	// emit appends one full iteration (computation and communication) for
-	// every rank; commScale multiplies the characteristic message sizes.
-	emit func(tr *trace.Trace, commScale float64)
+	// every rank. Message sizes that the calibration scales go through
+	// e.scaled with their base size; the rest are fixed.
+	emit func(e *emitter)
 }
 
 // newPlan builds the application-specific structure of the instance.
@@ -98,11 +99,11 @@ func newPlan(inst Instance, cfg Config) (*plan, error) {
 			return nil, err
 		}
 		p.phases = [][]float64{loads}
-		p.emit = func(tr *trace.Trace, s float64) {
-			computePhase(tr, loads)
-			ringExchange(tr, n, scaleBytes(64<<10, s), 1)
-			collective(tr, n, trace.CollAllReduce, 8)
-			collective(tr, n, trace.CollAllReduce, 8)
+		p.emit = func(e *emitter) {
+			computePhase(e, loads)
+			ringExchange(e, n, 64<<10, 1)
+			allReduce(e, n, 8)
+			allReduce(e, n, 8)
 		}
 
 	case "MG":
@@ -114,12 +115,12 @@ func newPlan(inst Instance, cfg Config) (*plan, error) {
 		}
 		nx, ny := gridDims(n)
 		p.phases = [][]float64{loads}
-		p.emit = func(tr *trace.Trace, s float64) {
-			computePhase(tr, loads)
+		p.emit = func(e *emitter) {
+			computePhase(e, loads)
 			for level := 0; level < 4; level++ {
-				haloExchange2D(tr, nx, ny, scaleBytes(32<<10>>level, s), 10+4*level)
+				haloExchange2D(e, nx, ny, 32<<10>>level, 10+4*level)
 			}
-			collective(tr, n, trace.CollAllReduce, 8)
+			allReduce(e, n, 8)
 		}
 
 	case "IS":
@@ -130,10 +131,10 @@ func newPlan(inst Instance, cfg Config) (*plan, error) {
 			return nil, err
 		}
 		p.phases = [][]float64{loads}
-		p.emit = func(tr *trace.Trace, s float64) {
-			computePhase(tr, loads)
-			collective(tr, n, trace.CollAllToAll, scaleBytes(512<<10, s))
-			collective(tr, n, trace.CollAllReduce, 64)
+		p.emit = func(e *emitter) {
+			computePhase(e, loads)
+			collective(e, n, trace.CollAllToAll, 512<<10)
+			allReduce(e, n, 64)
 		}
 
 	case "BT-MZ":
@@ -146,9 +147,9 @@ func newPlan(inst Instance, cfg Config) (*plan, error) {
 		}
 		nx, ny := gridDims(n)
 		p.phases = [][]float64{loads}
-		p.emit = func(tr *trace.Trace, s float64) {
-			computePhase(tr, loads)
-			haloExchange2D(tr, nx, ny, scaleBytes(16<<10, s), 1)
+		p.emit = func(e *emitter) {
+			computePhase(e, loads)
+			haloExchange2D(e, nx, ny, 16<<10, 1)
 		}
 
 	case "SPECFEM3D":
@@ -160,9 +161,9 @@ func newPlan(inst Instance, cfg Config) (*plan, error) {
 		}
 		nx, ny := gridDims(n)
 		p.phases = [][]float64{loads}
-		p.emit = func(tr *trace.Trace, s float64) {
-			computePhase(tr, loads)
-			haloExchange2D(tr, nx, ny, scaleBytes(48<<10, s), 1)
+		p.emit = func(e *emitter) {
+			computePhase(e, loads)
+			haloExchange2D(e, nx, ny, 48<<10, 1)
 		}
 
 	case "WRF":
@@ -174,10 +175,10 @@ func newPlan(inst Instance, cfg Config) (*plan, error) {
 		}
 		nx, ny := gridDims(n)
 		p.phases = [][]float64{loads}
-		p.emit = func(tr *trace.Trace, s float64) {
-			computePhase(tr, loads)
-			haloExchange2D(tr, nx, ny, scaleBytes(64<<10, s), 1)
-			collective(tr, n, trace.CollAllReduce, 8)
+		p.emit = func(e *emitter) {
+			computePhase(e, loads)
+			haloExchange2D(e, nx, ny, 64<<10, 1)
+			allReduce(e, n, 8)
 		}
 
 	case "PEPC":
@@ -197,11 +198,11 @@ func newPlan(inst Instance, cfg Config) (*plan, error) {
 		stats.Scale(a, k)
 		stats.Scale(b, k)
 		p.phases = [][]float64{a, b}
-		p.emit = func(tr *trace.Trace, s float64) {
-			computePhase(tr, a)
-			collective(tr, n, trace.CollAllGather, scaleBytes(128<<10, s))
-			computePhase(tr, b)
-			collective(tr, n, trace.CollAllReduce, 8)
+		p.emit = func(e *emitter) {
+			computePhase(e, a)
+			collective(e, n, trace.CollAllGather, 128<<10)
+			computePhase(e, b)
+			allReduce(e, n, 8)
 		}
 
 	default:
@@ -217,16 +218,6 @@ func scaleBytes(base int64, s float64) int64 {
 		return 0
 	}
 	return b
-}
-
-// build emits the full trace with the given communication scale.
-func (p *plan) build(cfg Config, commScale float64) *trace.Trace {
-	tr := trace.New(p.inst.Name, p.inst.NProcs)
-	for it := 0; it < cfg.Iterations; it++ {
-		p.emit(tr, commScale)
-		iterMarks(tr, p.inst.NProcs)
-	}
-	return tr
 }
 
 // Characteristics reports the measured load balance and parallel efficiency
@@ -261,6 +252,20 @@ func measure(tr *trace.Trace, platform dimemas.Platform, fmax float64, ctx conte
 // Generate builds the calibrated trace for the instance: load balance is
 // matched exactly by construction, and the communication volume is bisected
 // until the replayed parallel efficiency matches the target.
+//
+// The trace is emitted once, as a template at scale 1 (which is the answer
+// when SkipPECalibration is set). Each bisection step rewrites only the
+// template's scaled message sizes in place, to scaleBytes(base, s), and
+// replays it. That is sound because the replay index Simulate caches on the
+// template depends only on the trace's structure (channels, collective
+// counts, send slots), which no step changes, and because the byte checks
+// of trace.Match (non-negative sizes, equal sizes at both ends of a message
+// and across a collective) hold at every scale by construction: both ends
+// of a message take their size from scaleBytes of one base. Every step
+// therefore replays the same records a fresh build at that scale would, and
+// its parallel efficiency is the same bits. The returned trace is a copy of
+// the template at the final scale with no cached index, so its first replay
+// validates it in full.
 func Generate(inst Instance, cfg Config) (*trace.Trace, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -269,41 +274,43 @@ func Generate(inst Instance, cfg Config) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	tpl := p.template(cfg.Iterations, scaledBy(1))
 	if cfg.SkipPECalibration {
-		return p.build(cfg, 1), nil
+		return tpl.tr, nil
 	}
-
-	peAt := func(scale float64) (float64, error) {
-		tr := p.build(cfg, scale)
-		ch, err := measure(tr, cfg.Platform, cfg.FMax, cfg.Ctx)
-		if err != nil {
-			return 0, err
-		}
-		return ch.PE, nil
+	scale, err := calibrate(inst, func(s float64) (float64, error) { return tpl.pe(s, cfg) })
+	if err != nil {
+		return nil, err
 	}
+	tpl.rescale(scale)
+	return tpl.clone(), nil
+}
 
+// calibrate bisects for the communication scale at which peAt, the replayed
+// parallel efficiency, meets the instance's target, and returns that scale.
+func calibrate(inst Instance, peAt func(scale float64) (float64, error)) (float64, error) {
 	// Parallel efficiency decreases monotonically with communication
 	// volume; bracket the target then bisect.
 	pe0, err := peAt(0)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if pe0 < inst.TargetPE {
-		return nil, fmt.Errorf("workload: %s: communication-free efficiency %.4f already below target %.4f (platform too slow)",
+		return 0, fmt.Errorf("workload: %s: communication-free efficiency %.4f already below target %.4f (platform too slow)",
 			inst.Name, pe0, inst.TargetPE)
 	}
 	lo, hi := 0.0, 1.0
 	for i := 0; ; i++ {
 		pe, err := peAt(hi)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if pe < inst.TargetPE {
 			break
 		}
 		lo, hi = hi, hi*4
 		if i == 30 {
-			return nil, fmt.Errorf("workload: %s: cannot add enough communication to reach efficiency %.4f", inst.Name, inst.TargetPE)
+			return 0, fmt.Errorf("workload: %s: cannot add enough communication to reach efficiency %.4f", inst.Name, inst.TargetPE)
 		}
 	}
 	const tol = 2e-4
@@ -311,7 +318,7 @@ func Generate(inst Instance, cfg Config) (*trace.Trace, error) {
 		mid := (lo + hi) / 2
 		pe, err := peAt(mid)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if math.Abs(pe-inst.TargetPE) < tol {
 			lo, hi = mid, mid
@@ -323,5 +330,5 @@ func Generate(inst Instance, cfg Config) (*trace.Trace, error) {
 			hi = mid
 		}
 	}
-	return p.build(cfg, (lo+hi)/2), nil
+	return (lo + hi) / 2, nil
 }
