@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		outPath  = fs.String("out", "", "write the report to a file instead of stdout")
 		list     = fs.Bool("list", false, "list available experiments and exit")
 		quiet    = fs.Bool("quiet", false, "suppress progress messages on stderr")
-		parallel = fs.Int("parallel", runtime.NumCPU(), "worker-pool size for sweep cells (results are identical to serial)")
+		parallel = fs.Int("parallel", runtime.NumCPU(), "worker-pool size for the cells of every experiment (the report is identical at every value)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -76,9 +76,11 @@ func TestRunWritesOutFile(t *testing.T) {
 	}
 }
 
-// TestReportGolden pins the whole five-iteration report byte for byte, so a
-// refactor of any pipeline the experiments drive must leave every table and
-// figure unchanged. Regenerate testdata/report.golden with
+// TestReportGolden pins the whole five-iteration report byte for byte at
+// several worker counts, so a refactor of any pipeline the experiments drive
+// must leave every table and figure unchanged, and the report must not
+// depend on how many cells run at once. Regenerate testdata/report.golden
+// with
 //
 //	go run ./cmd/pwrsim -experiment all -iterations 5 -quiet -out cmd/pwrsim/testdata/report.golden
 //
@@ -87,21 +89,25 @@ func TestReportGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden report is pinned on amd64; other architectures may fuse multiply-adds")
 	}
-	var out, errOut strings.Builder
-	if err := run([]string{"-experiment", "all", "-iterations", "5", "-quiet"}, &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
 	want, err := os.ReadFile("testdata/report.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := out.String(); got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("report differs from testdata/report.golden at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+	for _, parallel := range []string{"1", "2", "8"} {
+		t.Run("parallel="+parallel, func(t *testing.T) {
+			var out, errOut strings.Builder
+			if err := run([]string{"-experiment", "all", "-iterations", "5", "-quiet", "-parallel", parallel}, &out, &errOut); err != nil {
+				t.Fatal(err)
 			}
-		}
-		t.Fatalf("report differs from testdata/report.golden: %d lines, want %d", len(gl), len(wl))
+			if got := out.String(); got != string(want) {
+				gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+				for i := 0; i < len(gl) && i < len(wl); i++ {
+					if gl[i] != wl[i] {
+						t.Fatalf("report differs from testdata/report.golden at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+					}
+				}
+				t.Fatalf("report differs from testdata/report.golden: %d lines, want %d", len(gl), len(wl))
+			}
+		})
 	}
 }

@@ -29,17 +29,19 @@ type JitterRow struct {
 }
 
 // JitterVsStatic runs both systems over every Table 3 instance with the
-// uniform six-gear set.
+// uniform six-gear set, one cell per instance.
 func (s *Suite) JitterVsStatic() ([]JitterRow, error) {
 	six, err := dvfs.Uniform(6)
 	if err != nil {
 		return nil, err
 	}
-	var rows []JitterRow
-	for _, app := range AppNames() {
+	apps := AppNames()
+	rows := make([]JitterRow, len(apps))
+	err = s.cells(len(apps), func(i int) error {
+		app := apps[i]
 		tr, err := s.Trace(app)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		dyn, err := jitter.Run(jitter.Config{
 			Trace:    tr,
@@ -50,20 +52,24 @@ func (s *Suite) JitterVsStatic() ([]JitterRow, error) {
 			Cache:    s.replays,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: jitter on %s: %w", app, err)
+			return fmt.Errorf("experiments: jitter on %s: %w", app, err)
 		}
 		static, err := s.analyze(app, variant{name: "MAX", set: six, alg: core.MAX})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rows = append(rows, JitterRow{
+		rows[i] = JitterRow{
 			App:           app,
 			DynamicEnergy: dyn.Norm.Energy,
 			DynamicTime:   dyn.Norm.Time,
 			StaticEnergy:  static.Norm.Energy,
 			StaticTime:    static.Norm.Time,
 			GearSwitches:  dyn.GearSwitches,
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

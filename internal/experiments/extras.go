@@ -25,21 +25,22 @@ type ScalingRow struct {
 
 // Scaling evaluates how imbalance and energy saving evolve with cluster
 // size (§1: "larger scale applications may have a greater load imbalance and
-// therefore allow greater relative savings").
+// therefore allow greater relative savings"), one cell per size.
 func (s *Suite) Scaling(app string, sizes []int) ([]ScalingRow, error) {
 	six, err := dvfs.Uniform(6)
 	if err != nil {
 		return nil, err
 	}
-	var rows []ScalingRow
-	for _, n := range sizes {
+	rows := make([]ScalingRow, len(sizes))
+	err = s.cells(len(sizes), func(i int) error {
+		n := sizes[i]
 		inst, err := workload.InstanceFor(app, n)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		tr, err := s.TraceFor(inst)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res, err := analysis.Run(analysis.Config{
 			Trace:     tr,
@@ -51,12 +52,16 @@ func (s *Suite) Scaling(app string, sizes []int) ([]ScalingRow, error) {
 			Cache:     s.replays,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rows = append(rows, ScalingRow{
+		rows[i] = ScalingRow{
 			App: inst.Name, NProcs: n, LB: res.LB,
 			Energy: res.Norm.Energy, Time: res.Norm.Time,
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -57,22 +57,28 @@ type Table3Row struct {
 	PaperLB, PaperPE float64 // Table 3 targets
 }
 
-// Table3 measures every generated instance.
+// Table3 generates and measures every instance, one cell per instance.
 func (s *Suite) Table3() ([]Table3Row, error) {
-	var rows []Table3Row
-	for _, inst := range workload.Table3() {
+	insts := workload.Table3()
+	rows := make([]Table3Row, len(insts))
+	err := s.cells(len(insts), func(i int) error {
+		inst := insts[i]
 		tr, err := s.TraceFor(inst)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ch, err := workload.Measure(tr, s.Gen.Platform, s.Gen.FMax)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rows = append(rows, Table3Row{
+		rows[i] = Table3Row{
 			App: inst.Name, LB: ch.LB, PE: ch.PE,
 			PaperLB: inst.TargetLB, PaperPE: inst.TargetPE,
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

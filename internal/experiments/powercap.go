@@ -37,8 +37,8 @@ func DefaultPowercapFracs() []float64 {
 }
 
 // PowercapSweep schedules one application under every cap fraction with
-// both policies, sharing the suite's replay cache (one skeleton and one
-// baseline for the whole sweep).
+// both policies, one cell per cap fraction, sharing the suite's replay cache
+// (one skeleton and one baseline for the whole sweep).
 func (s *Suite) PowercapSweep(app string, fracs []float64) ([]PowercapRow, error) {
 	tr, err := s.Trace(app)
 	if err != nil {
@@ -53,8 +53,9 @@ func (s *Suite) PowercapSweep(app string, fracs []float64) ([]PowercapRow, error
 		return nil, err
 	}
 	uncappedPeak := float64(tr.NumRanks()) * pm.Power(power.Compute, dvfs.GearAt(s.Gen.FMax))
-	rows := make([]PowercapRow, 0, len(fracs))
-	for _, frac := range fracs {
+	rows := make([]PowercapRow, len(fracs))
+	err = s.cells(len(fracs), func(i int) error {
+		frac := fracs[i]
 		res, err := powercap.Run(powercap.Config{
 			Trace:    tr,
 			Platform: s.Gen.Platform,
@@ -65,9 +66,9 @@ func (s *Suite) PowercapSweep(app string, fracs []float64) ([]PowercapRow, error
 			Cache:    s.replays,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: powercap %s at %.0f%%: %w", app, frac*100, err)
+			return fmt.Errorf("experiments: powercap %s at %.0f%%: %w", app, frac*100, err)
 		}
-		rows = append(rows, PowercapRow{
+		rows[i] = PowercapRow{
 			CapFrac:     frac,
 			Cap:         res.Cap,
 			Peak:        res.Redistributed.PeakPower,
@@ -76,7 +77,11 @@ func (s *Suite) PowercapSweep(app string, fracs []float64) ([]PowercapRow, error
 			RedTime:     res.Redistributed.NormTime,
 			RedEnergy:   res.Redistributed.NormEnergy,
 			Evaluations: res.Evaluations,
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -93,9 +93,28 @@ type RebalanceRow struct {
 	PredCapTime, PredCapEnergy, PredCapPeak float64
 }
 
+// rebalanceArm is one policy column of the drift sweep: the policy, and
+// whether it runs under the peak budget with exact peak accounting.
+type rebalanceArm struct {
+	policy rebalance.Policy
+	capped bool
+}
+
+// rebalanceArms lists the sweep's policy columns in the order each row's
+// arms are run (and its first failing arm reported).
+var rebalanceArms = []rebalanceArm{
+	{rebalance.PolicyNever, false},
+	{rebalance.PolicyEveryK, false},
+	{rebalance.PolicyThreshold, false},
+	{rebalance.PolicyCapped, true},
+	{rebalance.PolicyPredictive, false},
+	{rebalance.PolicyPredictiveCapped, true},
+}
+
 // RebalanceSweep runs every scenario × policy combination for one
-// application, sharing the suite's replay cache (one base-iteration skeleton
-// for the entire sweep).
+// application, one cell per pair, sharing the suite's replay cache (one
+// base-iteration skeleton for the entire sweep). Each row is assembled from
+// its arms once every cell has run.
 func (s *Suite) RebalanceSweep(app string, scenarios []RebalanceScenario) ([]RebalanceRow, error) {
 	tr, err := s.Trace(app)
 	if err != nil {
@@ -111,48 +130,35 @@ func (s *Suite) RebalanceSweep(app string, scenarios []RebalanceScenario) ([]Reb
 	}
 	cap := rebalanceCapFrac * float64(tr.NumRanks()) * pm.Power(power.Compute, dvfs.GearAt(s.Gen.FMax))
 
-	rows := make([]RebalanceRow, 0, len(scenarios))
-	for _, sc := range scenarios {
-		base := s.rebalanceConfig(tr, six, sc.Drift)
-		run := func(p rebalance.Policy, cap float64, exactPeaks bool) (*rebalance.Result, error) {
-			cfg := base
-			cfg.Policy = p
+	arms := len(rebalanceArms)
+	res := make([]*rebalance.Result, len(scenarios)*arms)
+	err = s.cells(len(res), func(k int) error {
+		sc, arm := scenarios[k/arms], rebalanceArms[k%arms]
+		cfg := s.rebalanceConfig(tr, six, sc.Drift)
+		cfg.Policy = arm.policy
+		if arm.capped {
 			cfg.Cap = cap
-			cfg.ExactPeaks = exactPeaks
-			if p == rebalance.PolicyPredictive || p == rebalance.PolicyPredictiveCapped {
-				cfg.Predict = rebalancePredict()
-			}
-			res, err := rebalance.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: rebalance %s/%s/%s: %w", app, sc.Name, p, err)
-			}
-			return res, nil
+			cfg.ExactPeaks = true
 		}
-		never, err := run(rebalance.PolicyNever, 0, false)
+		if arm.policy == rebalance.PolicyPredictive || arm.policy == rebalance.PolicyPredictiveCapped {
+			cfg.Predict = rebalancePredict()
+		}
+		r, err := rebalance.Run(cfg)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("experiments: rebalance %s/%s/%s: %w", app, sc.Name, arm.policy, err)
 		}
-		always, err := run(rebalance.PolicyEveryK, 0, false)
-		if err != nil {
-			return nil, err
-		}
-		thresh, err := run(rebalance.PolicyThreshold, 0, false)
-		if err != nil {
-			return nil, err
-		}
-		capped, err := run(rebalance.PolicyCapped, cap, true)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := run(rebalance.PolicyPredictive, 0, false)
-		if err != nil {
-			return nil, err
-		}
-		predCap, err := run(rebalance.PolicyPredictiveCapped, cap, true)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, RebalanceRow{
+		res[k] = r
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	rows := make([]RebalanceRow, len(scenarios))
+	for i, sc := range scenarios {
+		r := res[i*arms : (i+1)*arms]
+		never, always, thresh, capped, pred, predCap := r[0], r[1], r[2], r[3], r[4], r[5]
+		rows[i] = RebalanceRow{
 			Scenario:        sc.Name,
 			NeverTime:       never.Norm.Time,
 			NeverEnergy:     never.Norm.Energy,
@@ -173,7 +179,7 @@ func (s *Suite) RebalanceSweep(app string, scenarios []RebalanceScenario) ([]Reb
 			PredCapTime:     predCap.Norm.Time,
 			PredCapEnergy:   predCap.Norm.Energy,
 			PredCapPeak:     predCap.PeakPower,
-		})
+		}
 	}
 	return rows, nil
 }

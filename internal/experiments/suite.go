@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dimemas"
 	"repro/internal/dvfs"
+	"repro/internal/memo"
 	"repro/internal/power"
 	"repro/internal/timemodel"
 	"repro/internal/trace"
@@ -22,22 +23,24 @@ import (
 )
 
 // Suite generates and caches the twelve Table 3 application traces and runs
-// analysis configurations against them. A Suite must not be shared between
-// goroutines, but it can itself fan sweep cells out over a worker pool: set
-// Workers > 1 to evaluate independent application×variant cells
-// concurrently. Results are bit-identical to the serial run — every cell is
-// an isolated, deterministic pipeline over an immutable trace.
+// analysis configurations against them. A Suite is safe for concurrent use,
+// and it fans its own experiments out over a deterministic cell pool (see
+// cells): set Workers > 1 to evaluate the independent cells of an
+// experiment concurrently. Reports are bit-identical at every worker count:
+// every cell is an isolated, deterministic pipeline over an immutable trace,
+// writes only its own result slot, and the shared trace and replay memos
+// hold values that do not depend on the order an experiment's cells run in.
 type Suite struct {
 	// Gen is the trace-generation configuration shared by all experiments.
 	Gen workload.Config
 	// Beta is the default memory-boundedness parameter.
 	Beta float64
-	// Workers bounds the number of concurrently evaluated sweep cells;
-	// values below 2 mean serial execution. Trace generation always runs
-	// serially (the cache is filled before fanning out).
+	// Workers bounds the number of concurrently evaluated experiment cells
+	// (trace generations, sweep cells, cap points, policy arms); values
+	// below 2 mean serial execution.
 	Workers int
 
-	cache   map[string]*trace.Trace
+	cache   *memo.Cache[string, *trace.Trace]
 	replays *dimemas.ReplayCache
 }
 
@@ -46,13 +49,13 @@ func NewSuite(gen workload.Config) *Suite {
 	return &Suite{
 		Gen:     gen,
 		Beta:    timemodel.DefaultBeta,
-		cache:   map[string]*trace.Trace{},
+		cache:   memo.New[string, *trace.Trace](0),
 		replays: dimemas.NewReplayCache(),
 	}
 }
 
 // DefaultSuite uses the full 20-iteration generation used for the reported
-// numbers, fanning sweep cells out over all available CPUs.
+// numbers, fanning experiment cells out over all available CPUs.
 func DefaultSuite() *Suite {
 	s := NewSuite(workload.DefaultConfig())
 	s.Workers = runtime.GOMAXPROCS(0)
@@ -60,7 +63,7 @@ func DefaultSuite() *Suite {
 }
 
 // QuickSuite trades a little calibration fidelity for speed (unit tests and
-// benchmarks), fanning sweep cells out over all available CPUs.
+// benchmarks), fanning experiment cells out over all available CPUs.
 func QuickSuite() *Suite {
 	cfg := workload.DefaultConfig()
 	cfg.Iterations = 5
@@ -75,9 +78,6 @@ func (s *Suite) Platform() dimemas.Platform { return s.Gen.Platform }
 // Trace returns the calibrated trace of a Table 3 instance, generating it on
 // first use.
 func (s *Suite) Trace(name string) (*trace.Trace, error) {
-	if tr, ok := s.cache[name]; ok {
-		return tr, nil
-	}
 	inst, err := workload.FindInstance(name)
 	if err != nil {
 		return nil, err
@@ -86,17 +86,19 @@ func (s *Suite) Trace(name string) (*trace.Trace, error) {
 }
 
 // TraceFor returns the calibrated trace of an arbitrary instance (including
-// interpolated ones), generating and caching it on first use.
+// interpolated ones), generating it on first use. Traces are memoized by
+// instance name, and concurrent first uses of one name share one
+// generation. An interpolated instance that shares a Table 3 name (Scaling's
+// SPECFEM3D-32) therefore gets whichever trace was generated first under
+// that name.
 func (s *Suite) TraceFor(inst workload.Instance) (*trace.Trace, error) {
-	if tr, ok := s.cache[inst.Name]; ok {
+	return s.cache.Do(nil, inst.Name, func() (*trace.Trace, error) {
+		tr, err := workload.Generate(inst, s.Gen)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: generating %s: %w", inst.Name, err)
+		}
 		return tr, nil
-	}
-	tr, err := workload.Generate(inst, s.Gen)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: generating %s: %w", inst.Name, err)
-	}
-	s.cache[inst.Name] = tr
-	return tr, nil
+	})
 }
 
 // AppNames returns the twelve Table 3 instance names in the paper's order.
@@ -172,13 +174,10 @@ type Sweep struct {
 	LB []float64
 }
 
-// runSweep evaluates all variants over all apps, optionally fanning the
-// independent cells out over Suite.Workers goroutines. Results are
-// bit-identical to the serial run regardless of Workers: every cell is an
-// isolated, deterministic pipeline, and the shared baseline replays are
-// memoized values that do not depend on evaluation order. On failure the
-// pool stops dispatching and the error of the first failing cell in serial
-// (row-major) order is returned, matching what the serial loop reports.
+// runSweep evaluates all variants over all apps as one cell per
+// app×variant pair, in row-major order (see cells): results are
+// bit-identical at every worker count, and on failure the error of the
+// first failing cell in row-major order is returned.
 func (s *Suite) runSweep(title string, apps []string, variants []variant) (*Sweep, error) {
 	sw := &Sweep{Title: title, Apps: apps}
 	for _, v := range variants {
@@ -189,16 +188,13 @@ func (s *Suite) runSweep(title string, apps []string, variants []variant) (*Swee
 	for i := range apps {
 		sw.Cells[i] = make([]Cell, len(variants))
 	}
-
-	// Trace generation mutates the cache: do it serially, up front.
-	for _, app := range apps {
-		if _, err := s.Trace(app); err != nil {
-			return nil, err
+	err := s.cells(len(apps)*len(variants), func(k int) error {
+		i, j := k/len(variants), k%len(variants)
+		tr, err := s.Trace(apps[i])
+		if err != nil {
+			return err
 		}
-	}
-
-	run := func(i, j int) error {
-		res, err := s.analyzeConcurrent(apps[i], variants[j])
+		res, err := analysis.Run(s.variantConfig(tr, variants[j]))
 		if err != nil {
 			return fmt.Errorf("experiments: %s / %s: %w", apps[i], variants[j].name, err)
 		}
@@ -215,71 +211,58 @@ func (s *Suite) runSweep(title string, apps []string, variants []variant) (*Swee
 			sw.LB[i] = res.LB
 		}
 		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return sw, nil
+}
 
-	if s.Workers < 2 {
-		for i := range apps {
-			for j := range variants {
-				if err := run(i, j); err != nil {
-					return nil, err
-				}
+// cells evaluates run(0), …, run(n-1), the independent cells of one
+// experiment, over a pool of up to Workers goroutines; Workers < 2 runs them
+// serially in index order. Each cell must write only its own pre-allocated
+// result slot. Workers claim cells in index order from a shared counter and
+// stop claiming at the first observed failure; a claimed cell always runs
+// to completion. Every cell below the lowest failing index is therefore
+// claimed before it and run, and that lowest index's error is returned:
+// the same error the serial loop reports.
+func (s *Suite) cells(n int, run func(i int) error) error {
+	workers := min(s.Workers, n)
+	if workers < 2 {
+		for i := 0; i < n; i++ {
+			if err := run(i); err != nil {
+				return err
 			}
 		}
-		return sw, nil
+		return nil
 	}
-
-	// Worker pool over the flattened cell grid. Each cell writes only its
-	// own pre-allocated slots. Dispatch stops at the first observed error
-	// instead of draining the whole grid; every job dispatched before the
-	// stop still completes, which guarantees the earliest failing cell in
-	// dispatch order is always evaluated and therefore deterministically
-	// reported (any error observed before it would have to come from an
-	// even earlier cell).
-	type job struct{ i, j int }
-	jobs := make(chan job)
-	errs := make([]error, len(apps)*len(variants))
+	errs := make([]error, n)
+	var next atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < s.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for jb := range jobs {
-				if err := run(jb.i, jb.j); err != nil {
-					errs[jb.i*len(variants)+jb.j] = err
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if err := run(i); err != nil {
+					errs[i] = err
 					failed.Store(true)
 				}
 			}
 		}()
 	}
-dispatch:
-	for i := range apps {
-		for j := range variants {
-			if failed.Load() {
-				break dispatch
-			}
-			jobs <- job{i, j}
-		}
-	}
-	close(jobs)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return sw, nil
-}
-
-// analyzeConcurrent is analyze without trace-cache mutation, safe to call
-// from sweep workers: the trace must already be generated (runSweep
-// guarantees it).
-func (s *Suite) analyzeConcurrent(app string, v variant) (*analysis.Result, error) {
-	tr, ok := s.cache[app]
-	if !ok {
-		return nil, fmt.Errorf("experiments: trace %s not pre-generated", app)
-	}
-	return analysis.Run(s.variantConfig(tr, v))
+	return nil
 }
 
 // Cell returns the sweep cell for an app/column pair.

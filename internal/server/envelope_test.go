@@ -93,6 +93,8 @@ func TestErrorEnvelopeStages(t *testing.T) {
 		{"bad algorithm", "/v1/analyze", `{"trace": {"app": "IS-32", "iterations": 3, "quick": true}, "algorithm": "MINMAX"}`, "validate"},
 		{"bad gear kind", "/v1/analyze", `{"trace": {"app": "IS-32", "iterations": 3, "quick": true}, "gear_set": {"kind": "nope"}}`, "validate"},
 		{"tracegen inline text", "/v1/tracegen", `{"trace": {"text": "x"}}`, "validate"},
+		{"tracegen unbuildable count", "/v1/tracegen", `{"trace": {"app": "IS", "nprocs": 2, "iterations": 3}}`, "validate"},
+		{"replay unbuildable count", "/v1/replay", `{"trace": {"app": "PEPC", "nprocs": 3, "iterations": 3}}`, "validate"},
 		{"gearopt grid below minimum", "/v1/gearopt", `{"traces": [{"app": "IS-32", "iterations": 3, "quick": true}], "grid": 1e-6}`, "validate"},
 		{"gearopt negative max_rounds", "/v1/gearopt", `{"traces": [{"app": "IS-32", "iterations": 3, "quick": true}], "max_rounds": -1}`, "validate"},
 		{"rebalance window above max", "/v1/rebalance", `{"trace": {"app": "IS-32", "iterations": 3, "quick": true}, "policy": "predictive", "predict": {"window": 288230376151711744}}`, "validate"},

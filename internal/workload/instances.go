@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 
 	"repro/internal/stats"
 )
@@ -60,6 +59,8 @@ type anchor struct {
 	lb, pe float64
 }
 
+// anchors lists each application's Table 3 points in ascending process
+// count.
 var anchors = map[string][]anchor{
 	"BT-MZ":     {{32, 0.3521, 0.3507}},
 	"CG":        {{32, 0.9782, 0.7855}, {64, 0.9346, 0.6336}},
@@ -78,7 +79,24 @@ const defaultLBSlope = -0.04
 // InstanceFor builds an instance for an arbitrary process count by
 // interpolating (or extrapolating) the Table 3 characteristics in log₂
 // space. It supports the cluster-size scaling studies the paper motivates.
+// A count whose load shape cannot reach the interpolated balance is
+// rejected here, by the generator's load-shaping check alone, before any
+// trace is emitted or calibrated. From 2 to 2048 ranks those counts are IS
+// at 2 and 3 and PEPC at 3.
 func InstanceFor(app string, nprocs int) (Instance, error) {
+	inst, err := interpolate(app, nprocs)
+	if err != nil {
+		return Instance{}, err
+	}
+	if err := checkShape(inst); err != nil {
+		return Instance{}, err
+	}
+	return inst, nil
+}
+
+// interpolate computes InstanceFor's targets without checking that the
+// instance can be built.
+func interpolate(app string, nprocs int) (Instance, error) {
 	as, ok := anchors[app]
 	if !ok {
 		return Instance{}, fmt.Errorf("workload: unknown application %q (want one of %v)", app, Apps())
@@ -94,7 +112,6 @@ func InstanceFor(app string, nprocs int) (Instance, error) {
 		lb = a.lb + defaultLBSlope*doublings
 		pe = lb * (a.pe / a.lb)
 	default:
-		sort.Slice(as, func(i, j int) bool { return as[i].n < as[j].n })
 		lo, hi := as[0], as[len(as)-1]
 		x := math.Log2(float64(nprocs))
 		x0, x1 := math.Log2(float64(lo.n)), math.Log2(float64(hi.n))

@@ -21,8 +21,9 @@ import (
 )
 
 // ErrUnreachableLB reports that a load shape has no spread, so no rescaling
-// can reach the requested load balance.
-var ErrUnreachableLB = errors.New("workload: load shape cannot reach target balance")
+// can reach the requested load balance. Like every load-shaping error, it
+// reaches callers wrapped as "workload: <instance>: …".
+var ErrUnreachableLB = errors.New("load shape cannot reach target balance")
 
 // calibrateLB rescales positive loads so that mean/max equals target
 // exactly, preserving the ordering of ranks and keeping every load positive.
@@ -35,19 +36,19 @@ var ErrUnreachableLB = errors.New("workload: load shape cannot reach target bala
 // every value ≥ 1−k > 0.
 func calibrateLB(loads []float64, target float64) ([]float64, error) {
 	if len(loads) == 0 {
-		return nil, errors.New("workload: empty load vector")
+		return nil, errors.New("empty load vector")
 	}
 	if target <= 0 || target > 1 {
-		return nil, fmt.Errorf("workload: target load balance %v outside (0, 1]", target)
+		return nil, fmt.Errorf("target load balance %v outside (0, 1]", target)
 	}
 	max := stats.Max(loads)
 	if max <= 0 {
-		return nil, errors.New("workload: loads must contain a positive maximum")
+		return nil, errors.New("loads must contain a positive maximum")
 	}
 	x := make([]float64, len(loads))
 	for i, w := range loads {
 		if w < 0 {
-			return nil, fmt.Errorf("workload: negative load %v at rank %d", w, i)
+			return nil, fmt.Errorf("negative load %v at rank %d", w, i)
 		}
 		x[i] = w / max
 	}
@@ -189,21 +190,30 @@ func totalsLB(a, b []float64) float64 {
 	return stats.Mean(tot) / stats.Max(tot)
 }
 
-// calibrateTwoPhase bisects λ so the total load balance hits the target.
-func calibrateTwoPhase(n int, seed int64, wA, wB, targetLB float64) (a, b []float64, err error) {
-	gen := func(lambda float64) ([]float64, []float64) {
+// twoPhaseBracket returns the seeded two-phase load generator, after
+// checking that its total balance brackets targetLB between λ = 0 and
+// λ = 1. That check is the only way calibrateTwoPhase can fail.
+func twoPhaseBracket(n int, seed int64, wA, wB, targetLB float64) (gen func(lambda float64) ([]float64, []float64), err error) {
+	gen = func(lambda float64) ([]float64, []float64) {
 		rng := rand.New(rand.NewSource(seed))
 		return twoPhaseLoads(n, rng, wA, wB, lambda)
 	}
+	if totalsLB(gen(0)) < targetLB {
+		return nil, fmt.Errorf("two-phase noise floor below target balance %v", targetLB)
+	}
+	if totalsLB(gen(1)) > targetLB {
+		return nil, fmt.Errorf("two-phase spread cannot reach target balance %v", targetLB)
+	}
+	return gen, nil
+}
+
+// calibrateTwoPhase bisects λ so the total load balance hits the target.
+func calibrateTwoPhase(n int, seed int64, wA, wB, targetLB float64) (a, b []float64, err error) {
+	gen, err := twoPhaseBracket(n, seed, wA, wB, targetLB)
+	if err != nil {
+		return nil, nil, err
+	}
 	lo, hi := 0.0, 1.0
-	aLo, bLo := gen(lo)
-	if totalsLB(aLo, bLo) < targetLB {
-		return nil, nil, fmt.Errorf("workload: two-phase noise floor below target balance %v", targetLB)
-	}
-	aHi, bHi := gen(hi)
-	if totalsLB(aHi, bHi) > targetLB {
-		return nil, nil, fmt.Errorf("workload: two-phase spread cannot reach target balance %v", targetLB)
-	}
 	for i := 0; i < 80; i++ {
 		mid := (lo + hi) / 2
 		am, bm := gen(mid)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dimemas"
@@ -77,6 +78,38 @@ func TestInstanceForInterpolation(t *testing.T) {
 	}
 	if _, err := InstanceFor("CG", 1); err == nil {
 		t.Error("1 process should fail")
+	}
+}
+
+// TestInstanceForMatchesGenerate requires InstanceFor to accept a process
+// count exactly when Generate can build the instance, for every application
+// at 2–40 ranks, and its rejections to carry the package prefix once.
+func TestInstanceForMatchesGenerate(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Iterations = 2
+	rejected := 0
+	for _, app := range Apps() {
+		for n := 2; n <= 40; n++ {
+			inst, instErr := InstanceFor(app, n)
+			if instErr != nil {
+				rejected++
+				if got := strings.Count(instErr.Error(), "workload:"); got != 1 {
+					t.Errorf("%s-%d: error %q carries the workload: prefix %d times", app, n, instErr, got)
+				}
+				// Generate must refuse the instance InstanceFor refused.
+				var err error
+				if inst, err = interpolate(app, n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, genErr := Generate(inst, cfg)
+			if (instErr == nil) != (genErr == nil) {
+				t.Errorf("%s-%d: InstanceFor error %v, Generate error %v", app, n, instErr, genErr)
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Error("no count rejected: the check no longer reaches an unbuildable shape")
 	}
 }
 
