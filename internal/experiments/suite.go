@@ -136,12 +136,20 @@ func (s *Suite) analyze(app string, v variant) (*analysis.Result, error) {
 	return analysis.Run(s.variantConfig(tr, v))
 }
 
-// variantConfig assembles the analysis configuration of one sweep cell,
-// threading the suite's shared baseline-replay cache.
+// variantConfig assembles the analysis configuration of one sweep cell.
+// It threads the suite's shared replay cache only at the suite's own β:
+// no other cell replays a trace under a variant's β (Figure 5's sweep), so
+// memoizing that baseline and skeleton would only keep them live until the
+// suite is dropped. Uncached, the cell simulates both runs directly, which
+// is bit-identical to the cached path.
 func (s *Suite) variantConfig(tr *trace.Trace, v variant) analysis.Config {
 	beta := v.beta
 	if beta == 0 {
 		beta = s.Beta
+	}
+	cache := s.replays
+	if beta != s.Beta {
+		cache = nil
 	}
 	return analysis.Config{
 		Trace:     tr,
@@ -151,7 +159,7 @@ func (s *Suite) variantConfig(tr *trace.Trace, v variant) analysis.Config {
 		Algorithm: v.alg,
 		Beta:      &beta,
 		FMax:      s.Gen.FMax,
-		Cache:     s.replays,
+		Cache:     cache,
 	}
 }
 

@@ -305,6 +305,11 @@ func (s *Server) traceResolve(ctx context.Context, spec TraceRef) (*trace.Trace,
 	}
 	k := traceKey{app: inst.Name, nprocs: inst.NProcs, iterations: iters, quick: spec.Quick}
 	return s.traces.Do(ctx, k, func() (*trace.Trace, error) {
+		// A count whose loads cannot be shaped is the client's error; the
+		// memo keeps the rejection like a trace.
+		if err := inst.CheckShape(); err != nil {
+			return nil, stagerr.Wrap(stagerr.Validate, err)
+		}
 		cfg := workload.DefaultConfig()
 		cfg.Iterations = iters
 		cfg.SkipPECalibration = spec.Quick

@@ -91,11 +91,14 @@ func (s *TraceRef) validate() error {
 	return nil
 }
 
-// instance resolves the workload instance of a generated-trace spec.
+// instance resolves the workload instance of a generated-trace spec. It
+// does not check that an interpolated instance's loads can be shaped: that
+// check runs only when the trace memo misses (traceResolve), so a memo hit
+// costs no more than the lookup.
 func (s *TraceRef) instance() (workload.Instance, error) {
 	inst, err := workload.FindInstance(s.App)
 	if s.NProcs > 0 {
-		inst, err = workload.InstanceFor(s.App, s.NProcs)
+		inst, err = workload.Interpolate(s.App, s.NProcs)
 	}
 	if err != nil {
 		return inst, stagerr.Wrap(stagerr.Validate, err)

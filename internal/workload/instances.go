@@ -80,23 +80,23 @@ const defaultLBSlope = -0.04
 // interpolating (or extrapolating) the Table 3 characteristics in log₂
 // space. It supports the cluster-size scaling studies the paper motivates.
 // A count whose load shape cannot reach the interpolated balance is
-// rejected here, by the generator's load-shaping check alone, before any
-// trace is emitted or calibrated. From 2 to 2048 ranks those counts are IS
-// at 2 and 3 and PEPC at 3.
+// rejected here, by CheckShape, before any trace is emitted or calibrated.
+// From 2 to 40 ranks those counts are IS at 2 and 3 and PEPC at 3
+// (TestInstanceForMatchesGenerate).
 func InstanceFor(app string, nprocs int) (Instance, error) {
-	inst, err := interpolate(app, nprocs)
+	inst, err := Interpolate(app, nprocs)
 	if err != nil {
 		return Instance{}, err
 	}
-	if err := checkShape(inst); err != nil {
+	if err := inst.CheckShape(); err != nil {
 		return Instance{}, err
 	}
 	return inst, nil
 }
 
-// interpolate computes InstanceFor's targets without checking that the
-// instance can be built.
-func interpolate(app string, nprocs int) (Instance, error) {
+// Interpolate is InstanceFor without the CheckShape call: it computes the
+// instance's targets but does not check that its loads can be shaped.
+func Interpolate(app string, nprocs int) (Instance, error) {
 	as, ok := anchors[app]
 	if !ok {
 		return Instance{}, fmt.Errorf("workload: unknown application %q (want one of %v)", app, Apps())

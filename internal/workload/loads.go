@@ -190,30 +190,21 @@ func totalsLB(a, b []float64) float64 {
 	return stats.Mean(tot) / stats.Max(tot)
 }
 
-// twoPhaseBracket returns the seeded two-phase load generator, after
-// checking that its total balance brackets targetLB between λ = 0 and
-// λ = 1. That check is the only way calibrateTwoPhase can fail.
-func twoPhaseBracket(n int, seed int64, wA, wB, targetLB float64) (gen func(lambda float64) ([]float64, []float64), err error) {
-	gen = func(lambda float64) ([]float64, []float64) {
+// calibrateTwoPhase bisects λ so the total load balance hits the target.
+func calibrateTwoPhase(n int, seed int64, wA, wB, targetLB float64) (a, b []float64, err error) {
+	gen := func(lambda float64) ([]float64, []float64) {
 		rng := rand.New(rand.NewSource(seed))
 		return twoPhaseLoads(n, rng, wA, wB, lambda)
 	}
-	if totalsLB(gen(0)) < targetLB {
-		return nil, fmt.Errorf("two-phase noise floor below target balance %v", targetLB)
-	}
-	if totalsLB(gen(1)) > targetLB {
-		return nil, fmt.Errorf("two-phase spread cannot reach target balance %v", targetLB)
-	}
-	return gen, nil
-}
-
-// calibrateTwoPhase bisects λ so the total load balance hits the target.
-func calibrateTwoPhase(n int, seed int64, wA, wB, targetLB float64) (a, b []float64, err error) {
-	gen, err := twoPhaseBracket(n, seed, wA, wB, targetLB)
-	if err != nil {
-		return nil, nil, err
-	}
 	lo, hi := 0.0, 1.0
+	aLo, bLo := gen(lo)
+	if totalsLB(aLo, bLo) < targetLB {
+		return nil, nil, fmt.Errorf("two-phase noise floor below target balance %v", targetLB)
+	}
+	aHi, bHi := gen(hi)
+	if totalsLB(aHi, bHi) > targetLB {
+		return nil, nil, fmt.Errorf("two-phase spread cannot reach target balance %v", targetLB)
+	}
 	for i := 0; i < 80; i++ {
 		mid := (lo + hi) / 2
 		am, bm := gen(mid)

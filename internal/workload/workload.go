@@ -185,7 +185,7 @@ func newPlan(inst Instance, cfg Config) (*plan, error) {
 		// Plasma-physics tree code: two computation phases per iteration
 		// with different (anti-correlated) imbalance — the reason a single
 		// per-process DVFS setting struggles with PEPC in the paper.
-		a, b, err := calibrateTwoPhase(n, inst.seed(), pepcTreeShare, pepcForceShare, inst.TargetLB)
+		a, b, err := calibrateTwoPhase(n, inst.seed(), 0.6, 0.4, inst.TargetLB)
 		if err != nil {
 			return nil, fmt.Errorf("workload: %s: %w", inst.Name, err)
 		}
@@ -211,27 +211,13 @@ func newPlan(inst Instance, cfg Config) (*plan, error) {
 	return p, nil
 }
 
-// pepcTreeShare and pepcForceShare are the weights of PEPC's two compute
-// phases (tree build, then force computation) in each iteration.
-const pepcTreeShare, pepcForceShare = 0.6, 0.4
-
-// checkShape returns the error newPlan returns for inst's load shape, at a
-// fraction of its cost. PEPC's bisection can fail only at its bracket, so
-// only the bracket runs (two load draws instead of 82); every other
-// application's shaping is cheap and runs in full. Whether loads can be
-// shaped does not depend on the generation config, which only scales them.
-func checkShape(inst Instance) error {
-	if inst.App != "PEPC" {
-		_, err := newPlan(inst, DefaultConfig())
-		return err
-	}
-	if err := inst.Validate(); err != nil {
-		return err
-	}
-	if _, err := twoPhaseBracket(inst.NProcs, inst.seed(), pepcTreeShare, pepcForceShare, inst.TargetLB); err != nil {
-		return fmt.Errorf("workload: %s: %w", inst.Name, err)
-	}
-	return nil
+// CheckShape returns the error Generate would return for inst's load
+// shape, without emitting or calibrating a trace: it runs the generator's
+// load-shaping step alone. Whether loads can be shaped does not depend on
+// the generation config, which only scales them.
+func (inst Instance) CheckShape() error {
+	_, err := newPlan(inst, DefaultConfig())
+	return err
 }
 
 // scaleBytes multiplies a base message size by the calibration factor.

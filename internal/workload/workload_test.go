@@ -98,7 +98,7 @@ func TestInstanceForMatchesGenerate(t *testing.T) {
 				}
 				// Generate must refuse the instance InstanceFor refused.
 				var err error
-				if inst, err = interpolate(app, n); err != nil {
+				if inst, err = Interpolate(app, n); err != nil {
 					t.Fatal(err)
 				}
 			}
