@@ -119,11 +119,12 @@ func Simulate(t *Trace, p Platform, opts SimOptions) (*SimResult, error) {
 }
 
 // TimingSkeleton is the frequency-independent timing skeleton of one
-// (trace, platform, β, FMax) combination: the replayed communication
-// structure recorded once, so that any per-rank gear assignment can be
-// re-timed with a single O(events) forward pass. Retime results are
-// bit-identical to Simulate at a fraction of the cost — it is what powers
-// sweeps, gear searches and the batched serving endpoint. Beyond
+// (trace, platform, FMax) combination, retimed at one β: the replayed
+// communication structure recorded once, so that any β and any per-rank
+// gear assignment can be re-timed with a single O(events) forward pass
+// (ReplayCache.SkeletonFor at another β shares the recording). Retime
+// results are bit-identical to Simulate at a fraction of the cost — it is
+// what powers sweeps, gear searches and the batched serving endpoint. Beyond
 // Retime/RetimeScaled it offers two more entry points, both still
 // bit-identical: RetimeDelta(state, freqs, scale) answers a repeat of either
 // of the last two distinct vectors retimed on the same DeltaState from a
@@ -149,8 +150,9 @@ type DeltaState = dimemas.DeltaState
 // returns candidate c's view as a SimResult.
 type BatchResult = dimemas.BatchResult
 
-// ReplayCache memoizes baseline (all-ranks-at-FMax) replays and timing
-// skeletons keyed by (trace, β, FMax, platform). Set AnalysisConfig.Cache —
+// ReplayCache memoizes timing skeletons keyed by (trace, FMax, platform),
+// one recording for every β, and the baseline (all-ranks-at-FMax) replays
+// retimed from them, keyed by β as well. Set AnalysisConfig.Cache —
 // or the Cache field of the jitter/phased/gear-search configs — to share
 // the original execution across many what-if runs of the same trace and to
 // turn every DVFS replay into a skeleton retiming. Safe for concurrent use.

@@ -111,3 +111,28 @@ func TestReportGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestScalingMatchesFullReport pins that an instance name means one
+// instance: the scaling study run alone generates its Table 3 rows
+// (CG-32, SPECFEM3D-32, …) itself, and must print them exactly as the full
+// report does, where those names were generated by the Table 3 experiments
+// first.
+func TestScalingMatchesFullReport(t *testing.T) {
+	report := func(id string) string {
+		var out, errOut strings.Builder
+		if err := run([]string{"-experiment", id, "-iterations", "5", "-quiet"}, &out, &errOut); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	scaling, all := report("scaling"), report("all")
+	sections := strings.Split(scaling, "## ")[1:]
+	if len(sections) == 0 {
+		t.Fatalf("scaling report has no sections:\n%s", scaling)
+	}
+	for _, sec := range sections {
+		if !strings.Contains(all, "## "+sec) {
+			t.Errorf("scaling section differs from the full report:\n%s", sec)
+		}
+	}
+}

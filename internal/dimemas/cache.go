@@ -11,8 +11,8 @@ import (
 // per-iteration replays, and every simulation input the artifact depends on.
 type replayKey struct {
 	tr       *trace.Trace
-	slice    int // -1 for the whole trace; iteration index for slices
-	beta     float64
+	slice    int     // -1 for the whole trace; iteration index for slices
+	beta     float64 // baselines only: one recorded skeleton serves every β
 	fmax     float64
 	platform Platform
 	// machine is Machine.Fingerprint(): the canonical encoding of the
@@ -35,11 +35,14 @@ type artifact struct {
 type CacheStats = memo.Stats
 
 // ReplayCache memoizes the two per-trace artifacts every analysis pipeline
-// re-derives — the baseline replay (Options.Freqs == nil, every rank at
-// FMax) and the frequency-independent timing skeleton — keyed by (trace, β,
-// FMax, platform). Sweeps, gear searches and server requests that evaluate
-// many gear assignments over the same trace pay for each artifact once and
-// retime everything else.
+// re-derives — the frequency-independent timing skeleton, keyed by (trace,
+// FMax, platform) and recorded once for every β, and the baseline replay
+// (Options.Freqs == nil, every rank at FMax), keyed by β as well and filled
+// by retiming that skeleton. Sweeps, gear searches and server requests that
+// evaluate many gear assignments over the same trace pay for the recording
+// once and retime everything else. Baselines stay memoized beside the
+// skeleton because serving paths read them on every request, and a memo
+// hit costs far less than even a nil-frequency retime.
 //
 // Cached Results and Skeletons are shared: callers must treat them as
 // read-only. Keying is by trace identity, so traces must not be mutated
@@ -74,28 +77,21 @@ func NewReplayCacheWithLimit(maxEntries int) *ReplayCache {
 // uncached Simulate call, so callers can thread an optional cache without
 // branching.
 func (c *ReplayCache) Original(t *trace.Trace, p Platform, opts Options) (*Result, error) {
-	return c.original(t, -1, t, FlatMachine(p), opts)
+	return c.original(t, FlatMachine(p), opts)
 }
 
 // OriginalMachine is Original on the layered machine model; machines are
 // distinguished in the key by their fingerprint, so heterogeneous
 // per-request machines share one cache safely.
 func (c *ReplayCache) OriginalMachine(t *trace.Trace, m Machine, opts Options) (*Result, error) {
-	return c.original(t, -1, t, m, opts)
-}
-
-// OriginalSlice is Original for a per-iteration sub-trace: sub must be
-// parent.Slice(iteration, iteration+1). Keying on (parent, iteration)
-// instead of the sub-trace pointer lets repeated emulations of the same
-// parent trace (which re-slice it every run) share the replays.
-func (c *ReplayCache) OriginalSlice(parent *trace.Trace, iteration int, sub *trace.Trace, p Platform, opts Options) (*Result, error) {
-	return c.original(parent, iteration, sub, FlatMachine(p), opts)
+	return c.original(t, m, opts)
 }
 
 // SkeletonFor returns the memoized timing skeleton of t under opts
-// (Options.Freqs and RecordTimeline are irrelevant to the key — the
-// skeleton covers every gear assignment and timeline mode). A nil receiver
-// builds an uncached skeleton.
+// (Options.Beta, Freqs and RecordTimeline are irrelevant to the key — one
+// recording covers every β, gear assignment and timeline mode; the returned
+// skeleton retimes at opts.Beta). A nil receiver builds an uncached
+// skeleton.
 func (c *ReplayCache) SkeletonFor(t *trace.Trace, p Platform, opts Options) (*Skeleton, error) {
 	return c.skeleton(t, -1, t, FlatMachine(p), opts)
 }
@@ -115,8 +111,7 @@ func (c *ReplayCache) SkeletonForSliceMachine(parent *trace.Trace, iteration int
 // parent.Slice(iteration, iteration+1). Keying on (parent, iteration)
 // instead of the sub-trace pointer lets repeated runs over the same parent
 // trace (which re-slice it every run — policy sweeps, benchmarks, repeated
-// server requests) share one skeleton, exactly as OriginalSlice does for
-// baseline replays.
+// server requests) share one skeleton.
 func (c *ReplayCache) SkeletonForSlice(parent *trace.Trace, iteration int, sub *trace.Trace, p Platform, opts Options) (*Skeleton, error) {
 	return c.skeleton(parent, iteration, sub, FlatMachine(p), opts)
 }
@@ -128,7 +123,6 @@ func (c *ReplayCache) skeleton(keyTrace *trace.Trace, slice int, build *trace.Tr
 	k := replayKey{
 		tr:       keyTrace,
 		slice:    slice,
-		beta:     opts.Beta,
 		fmax:     opts.FMax,
 		platform: m.Base,
 		machine:  m.Fingerprint(),
@@ -138,7 +132,10 @@ func (c *ReplayCache) skeleton(keyTrace *trace.Trace, slice int, build *trace.Tr
 		sk, err := BuildSkeletonMachine(build, m, opts)
 		return artifact{skel: sk}, err
 	})
-	return a.skel, err
+	if err != nil {
+		return nil, err
+	}
+	return a.skel.withBeta(opts.Beta), nil
 }
 
 // Replay returns the replay of t under opts: the memoized baseline when
@@ -165,13 +162,16 @@ func (c *ReplayCache) ReplayMachine(t *trace.Trace, m Machine, opts Options) (*R
 	return sk.Retime(opts.Freqs, opts.RecordTimeline)
 }
 
-func (c *ReplayCache) original(keyTrace *trace.Trace, slice int, sim *trace.Trace, m Machine, opts Options) (*Result, error) {
+// original fills a baseline by retiming the skeleton of the same key. The
+// order is always baseline → skeleton, never the reverse, so the nested
+// single-flight cannot deadlock.
+func (c *ReplayCache) original(t *trace.Trace, m Machine, opts Options) (*Result, error) {
 	if c == nil || opts.Freqs != nil {
-		return SimulateMachine(sim, m, opts)
+		return SimulateMachine(t, m, opts)
 	}
 	k := replayKey{
-		tr:       keyTrace,
-		slice:    slice,
+		tr:       t,
+		slice:    -1,
 		beta:     opts.Beta,
 		fmax:     opts.FMax,
 		platform: m.Base,
@@ -179,7 +179,11 @@ func (c *ReplayCache) original(keyTrace *trace.Trace, slice int, sim *trace.Trac
 		timeline: opts.RecordTimeline,
 	}
 	a, err := c.m.Do(opts.Ctx, k, func() (artifact, error) {
-		res, err := SimulateMachine(sim, m, opts)
+		sk, err := c.skeleton(t, -1, t, m, opts)
+		if err != nil {
+			return artifact{}, err
+		}
+		res, err := sk.Retime(nil, opts.RecordTimeline)
 		return artifact{res: res}, err
 	})
 	return a.res, err

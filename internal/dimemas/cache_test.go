@@ -30,8 +30,10 @@ func TestReplayCacheStatsCounters(t *testing.T) {
 	if _, err := c.Original(tr, p, opts); err != nil {
 		t.Fatal(err)
 	}
+	// The first baseline fill also records the skeleton it is retimed
+	// from: two misses, two entries; the second lookup hits the baseline.
 	s := c.Stats()
-	want := CacheStats{Hits: 1, Misses: 1, Evictions: 0, Entries: 1}
+	want := CacheStats{Hits: 1, Misses: 2, Evictions: 0, Entries: 2}
 	if s != want {
 		t.Fatalf("stats = %+v, want %+v", s, want)
 	}
@@ -54,17 +56,20 @@ func TestReplayCacheNilStats(t *testing.T) {
 	}
 }
 
+// TestReplayCacheLRUEviction drives the LRU on skeleton entries, which
+// are one entry per trace; a baseline fill adds its skeleton as a second
+// entry, which TestReplayCacheStatsCounters pins.
 func TestReplayCacheLRUEviction(t *testing.T) {
 	c := NewReplayCacheWithLimit(2)
 	p := DefaultPlatform()
 	opts := DefaultOptions()
 	a, b, d := tinyTrace(1), tinyTrace(2), tinyTrace(3)
 
-	resA, err := c.Original(a, p, opts)
+	skA, err := c.SkeletonFor(a, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Original(b, p, opts); err != nil {
+	if _, err := c.SkeletonFor(b, p, opts); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 2 {
@@ -72,14 +77,14 @@ func TestReplayCacheLRUEviction(t *testing.T) {
 	}
 
 	// Touch a so b becomes least recently used, then insert d: b must go.
-	touchedA, err := c.Original(a, p, opts)
+	touchedA, err := c.SkeletonFor(a, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if touchedA != resA {
-		t.Fatal("hit on a returned a different Result pointer")
+	if touchedA != skA {
+		t.Fatal("hit on a returned a different Skeleton pointer")
 	}
-	if _, err := c.Original(d, p, opts); err != nil {
+	if _, err := c.SkeletonFor(d, p, opts); err != nil {
 		t.Fatal(err)
 	}
 
@@ -89,15 +94,15 @@ func TestReplayCacheLRUEviction(t *testing.T) {
 	}
 
 	// a survived (still the shared pointer); b was evicted and recomputes.
-	gotA, err := c.Original(a, p, opts)
+	gotA, err := c.SkeletonFor(a, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotA != resA {
-		t.Fatal("a was evicted: expected the memoized Result pointer")
+	if gotA != skA {
+		t.Fatal("a was evicted: expected the memoized Skeleton pointer")
 	}
 	before := c.Stats().Misses
-	if _, err := c.Original(b, p, opts); err != nil {
+	if _, err := c.SkeletonFor(b, p, opts); err != nil {
 		t.Fatal(err)
 	}
 	after := c.Stats()
@@ -118,8 +123,9 @@ func TestReplayCacheUnboundedNeverEvicts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Each baseline is memoized beside the skeleton it was retimed from.
 	s := c.Stats()
-	if s.Entries != 8 || s.Evictions != 0 {
-		t.Fatalf("stats = %+v, want 8 entries and 0 evictions", s)
+	if s.Entries != 16 || s.Evictions != 0 {
+		t.Fatalf("stats = %+v, want 16 entries and 0 evictions", s)
 	}
 }

@@ -24,11 +24,14 @@ import (
 type skelKind uint8
 
 const (
-	// opCompute is a burst using the skeleton's default β; f1 is the
-	// duration at fmax.
+	// opCompute is a burst without a β override (trace.Record.Beta < 0):
+	// it runs at the skeleton's β, resolved at retime, so one recording
+	// serves every β. f1 is the duration at fmax.
 	opCompute skelKind = iota
-	// opComputeBeta is a burst with an explicit β override; f1 is the
-	// duration, arg indexes Skeleton.betas.
+	// opComputeBeta is a burst with an explicit β override, recorded for
+	// every override, including one equal to the run's β (Slowdown gets the
+	// same arguments either way); f1 is the duration, arg indexes
+	// Skeleton.betas.
 	opComputeBeta
 	// opSendEager posts an eager send: the sender moves on immediately, so
 	// its ready time must be snapshotted now; arg is the message's arena
@@ -63,9 +66,12 @@ type skelOp struct {
 }
 
 // Skeleton is the frequency-independent timing skeleton of one (trace,
-// platform, β, fmax) combination. It is immutable after construction and
-// safe for concurrent Retime calls. Build it with BuildSkeleton or fetch a
-// memoized one from ReplayCache.SkeletonFor.
+// platform, fmax) combination, retimed at one β. The recorded schedule does
+// not depend on β — bursts without an override read the skeleton's β at
+// retime — so skeletons at different β share one op list (see withBeta).
+// It is immutable after construction and safe for concurrent Retime calls.
+// Build it with BuildSkeleton or fetch a memoized one from
+// ReplayCache.SkeletonFor.
 type Skeleton struct {
 	nranks   int
 	nslots   int // point-to-point arena size (one slot per send)
@@ -74,6 +80,19 @@ type Skeleton struct {
 	overhead float64
 	ops      []skelOp
 	betas    []float64 // β overrides referenced by opComputeBeta
+}
+
+// withBeta returns the skeleton retimed at β: s itself when β has s's bits,
+// otherwise a copy that shares s's schedule. Every β-dependent quantity
+// (prepare, the batch lanes, Slack) reads the copy's beta, so the view is
+// bit-identical to a skeleton recorded at β.
+func (s *Skeleton) withBeta(beta float64) *Skeleton {
+	if math.Float64bits(beta) == math.Float64bits(s.beta) {
+		return s
+	}
+	v := *s
+	v.beta = beta
+	return &v
 }
 
 // NumRanks returns the rank count of the skeleton's trace.
@@ -107,10 +126,11 @@ type skelBuilder struct {
 
 // BuildSkeleton replays the trace's communication structure once at zero
 // cost per event (no floating-point work) and records the retirement
-// schedule. opts supplies β and FMax — the two model parameters baked into
-// the schedule's constants — plus an optional Ctx; Freqs and RecordTimeline
-// are ignored because the skeleton is independent of both. A trace that
-// would deadlock under Simulate fails here with the identical diagnostic.
+// schedule. opts supplies FMax, the β the skeleton retimes at (the schedule
+// itself does not depend on it) and an optional Ctx; Freqs and
+// RecordTimeline are ignored because the skeleton is independent of both.
+// A trace that would deadlock under Simulate fails here with the identical
+// diagnostic.
 func BuildSkeleton(t *trace.Trace, p Platform, opts Options) (*Skeleton, error) {
 	m := Machine{Base: p}
 	return buildSkeleton(t, &m, opts)
@@ -252,10 +272,6 @@ func (s *Skeleton) buildStep(b *skelBuilder, r int, t *trace.Trace, idx *traceIn
 
 		switch rec.Kind {
 		case trace.KindCompute:
-			beta := rec.Beta
-			if beta < 0 {
-				beta = opts.Beta
-			}
 			dur := rec.Duration
 			if scale != nil {
 				// Capability efficiency is gear-independent; baking the
@@ -263,11 +279,11 @@ func (s *Skeleton) buildStep(b *skelBuilder, r int, t *trace.Trace, idx *traceIn
 				// tier heterogeneity-aware with unchanged arithmetic.
 				dur *= scale[r]
 			}
-			if beta == s.beta {
+			if rec.Beta < 0 {
 				s.ops = append(s.ops, skelOp{kind: opCompute, rank: int32(r), f1: dur})
 			} else {
 				s.ops = append(s.ops, skelOp{kind: opComputeBeta, rank: int32(r), f1: dur, arg: int32(len(s.betas))})
-				s.betas = append(s.betas, beta)
+				s.betas = append(s.betas, rec.Beta)
 			}
 			b.pc[r]++
 

@@ -434,6 +434,26 @@ func TestReplayCacheSkeletonSharing(t *testing.T) {
 	if cache.Len() != 2 {
 		t.Errorf("cache holds %d entries, want 2 (skeleton + baseline)", cache.Len())
 	}
+	// Skeletons are shared across β: another β reads the same recording
+	// through a view, and its baseline is its own entry filled from it.
+	other := opts
+	other.Beta = 0.2
+	v, err := cache.SkeletonFor(tr, p, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v == a || &v.ops[0] != &a.ops[0] {
+		t.Error("a skeleton at another β is not a view of the same recording")
+	}
+	if same, _ := cache.SkeletonFor(tr, p, opts); same != a {
+		t.Error("the recording β no longer returns the memoized skeleton")
+	}
+	if _, err := cache.Original(tr, p, other); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Len() != 3 {
+		t.Errorf("cache holds %d entries, want 3 (one skeleton, two baselines)", cache.Len())
+	}
 	// Replay with explicit frequencies retimes off the cached skeleton and
 	// stays bit-identical to Simulate.
 	rng := rand.New(rand.NewSource(21))
@@ -481,16 +501,20 @@ func TestReplayCacheDoesNotMemoizeCancellation(t *testing.T) {
 	if err != nil || res == nil {
 		t.Fatalf("post-cancellation replay: %v, %v", res, err)
 	}
-	if cache.Len() != 1 {
-		t.Errorf("cache holds %d entries, want 1", cache.Len())
+	if cache.Len() != 2 { // the baseline and the skeleton it was retimed from
+		t.Errorf("cache holds %d entries, want 2", cache.Len())
 	}
-	// Same for skeletons.
+	// Same for skeletons, on a trace whose skeleton no baseline recorded.
+	other := randomValidTrace(10, 4, 2, p.EagerLimit)
 	opts.Ctx = ctx
-	if _, err := cache.SkeletonFor(tr, p, opts); !memo.IsCtxErr(err) {
+	if _, err := cache.SkeletonFor(other, p, opts); !memo.IsCtxErr(err) {
 		t.Fatalf("cancelled skeleton build returned %v, want a context error", err)
 	}
+	if cache.Len() != 2 {
+		t.Fatalf("cancelled skeleton build was memoized (%d entries)", cache.Len())
+	}
 	opts.Ctx = nil
-	if _, err := cache.SkeletonFor(tr, p, opts); err != nil {
+	if _, err := cache.SkeletonFor(other, p, opts); err != nil {
 		t.Fatal(err)
 	}
 }

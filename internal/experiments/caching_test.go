@@ -72,8 +72,8 @@ func TestCachedBaselineByteIdentical(t *testing.T) {
 			t.Errorf("%s: precomputed-baseline result differs from uncached", app)
 		}
 	}
-	// One baseline plus one timing skeleton per (trace, β, FMax, platform):
-	// twelve apps, two keys each.
+	// One baseline plus one timing skeleton per (trace, FMax, platform) at
+	// one β: twelve apps, two keys each.
 	if cache.Len() != 2*len(AppNames()) {
 		t.Errorf("cache holds %d entries, want %d (baseline + skeleton per app)", cache.Len(), 2*len(AppNames()))
 	}
@@ -91,6 +91,22 @@ func TestSuiteSharesBaselinesAcrossVariants(t *testing.T) {
 	}
 	if got, want := s.replays.Len(), 2*len(sw.Apps); got != want {
 		t.Errorf("sweep memoized %d entries for %d apps × %d variants, want %d (baseline + skeleton per app)",
+			got, len(sw.Apps), len(sw.Cols), want)
+	}
+}
+
+// TestFigure5SharesSkeletonsAcrossBeta verifies that the β sweep records
+// each app once: one skeleton per app serves all eight β, and each β adds
+// only its own baseline.
+func TestFigure5SharesSkeletonsAcrossBeta(t *testing.T) {
+	s := QuickSuite()
+	s.cache = sharedSuite.cache // reuse generated traces
+	sw, err := s.Figure5()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.replays.Len(), len(sw.Apps)*(1+len(sw.Cols)); got != want {
+		t.Errorf("β sweep memoized %d entries for %d apps × %d β, want %d (one skeleton and a baseline per β, per app)",
 			got, len(sw.Apps), len(sw.Cols), want)
 	}
 }

@@ -29,7 +29,9 @@ type JitterRow struct {
 }
 
 // JitterVsStatic runs both systems over every Table 3 instance with the
-// uniform six-gear set, one cell per instance.
+// uniform six-gear set, one cell per instance. Jitter runs without the
+// suite's replay cache: no other cell replays its per-iteration slices, so
+// memoizing their skeletons would only hold them until the suite is dropped.
 func (s *Suite) JitterVsStatic() ([]JitterRow, error) {
 	six, err := dvfs.Uniform(6)
 	if err != nil {
@@ -49,7 +51,6 @@ func (s *Suite) JitterVsStatic() ([]JitterRow, error) {
 			Set:      six,
 			Beta:     &s.Beta,
 			FMax:     s.Gen.FMax,
-			Cache:    s.replays,
 		})
 		if err != nil {
 			return fmt.Errorf("experiments: jitter on %s: %w", app, err)

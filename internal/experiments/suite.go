@@ -88,9 +88,8 @@ func (s *Suite) Trace(name string) (*trace.Trace, error) {
 // TraceFor returns the calibrated trace of an arbitrary instance (including
 // interpolated ones), generating it on first use. Traces are memoized by
 // instance name, and concurrent first uses of one name share one
-// generation. An interpolated instance that shares a Table 3 name (Scaling's
-// SPECFEM3D-32) therefore gets whichever trace was generated first under
-// that name.
+// generation; workload.Interpolate returns the Table 3 instance itself for
+// a Table 3 (app, count) pair, so a name always means one instance.
 func (s *Suite) TraceFor(inst workload.Instance) (*trace.Trace, error) {
 	return s.cache.Do(nil, inst.Name, func() (*trace.Trace, error) {
 		tr, err := workload.Generate(inst, s.Gen)
@@ -136,20 +135,14 @@ func (s *Suite) analyze(app string, v variant) (*analysis.Result, error) {
 	return analysis.Run(s.variantConfig(tr, v))
 }
 
-// variantConfig assembles the analysis configuration of one sweep cell.
-// It threads the suite's shared replay cache only at the suite's own β:
-// no other cell replays a trace under a variant's β (Figure 5's sweep), so
-// memoizing that baseline and skeleton would only keep them live until the
-// suite is dropped. Uncached, the cell simulates both runs directly, which
-// is bit-identical to the cached path.
+// variantConfig assembles the analysis configuration of one sweep cell on
+// the suite's shared replay cache. One skeleton recording per trace serves
+// every β, so a variant at an off-default β (Figure 5's sweep) retimes the
+// app's default-β recording and memoizes only its own small baseline.
 func (s *Suite) variantConfig(tr *trace.Trace, v variant) analysis.Config {
 	beta := v.beta
 	if beta == 0 {
 		beta = s.Beta
-	}
-	cache := s.replays
-	if beta != s.Beta {
-		cache = nil
 	}
 	return analysis.Config{
 		Trace:     tr,
@@ -159,7 +152,7 @@ func (s *Suite) variantConfig(tr *trace.Trace, v variant) analysis.Config {
 		Algorithm: v.alg,
 		Beta:      &beta,
 		FMax:      s.Gen.FMax,
-		Cache:     cache,
+		Cache:     s.replays,
 	}
 }
 

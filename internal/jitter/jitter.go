@@ -44,10 +44,12 @@ type Config struct {
 	// SlackUp is the relative-slack fraction below which a node shifts one
 	// gear up (default 0.02). Must be below SlackDown.
 	SlackUp float64
-	// Cache optionally memoizes the per-iteration profiling replays (every
-	// rank at FMax), keyed by the parent trace and iteration index, so
-	// repeated emulations of the same trace — parameter sweeps over the
-	// slack thresholds, benchmarks — skip them. Nil means uncached.
+	// Cache optionally memoizes the per-iteration timing skeletons, keyed
+	// by the parent trace and iteration index, so repeated emulations of
+	// the same trace — parameter sweeps over the slack thresholds,
+	// benchmarks — record each iteration once. Nil records every iteration
+	// afresh; either way both replays of an iteration (profiling at FMax,
+	// adaptive at the current gears) retime its one skeleton.
 	Cache *dimemas.ReplayCache
 }
 
@@ -129,15 +131,19 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{Iterations: iters, FinalGears: make([]dvfs.Gear, n)}
 	nominal := dvfs.GearAt(opts.FMax)
+	var orig, adapt dimemas.Result
 
 	for it := 0; it < iters; it++ {
 		sub, err := cfg.Trace.Slice(it, it+1)
 		if err != nil {
 			return nil, err
 		}
-		// Original (profiling) replay of this iteration at fmax.
-		orig, err := cfg.Cache.OriginalSlice(cfg.Trace, it, sub, machine.Base, opts)
+		sk, err := cfg.Cache.SkeletonForSlice(cfg.Trace, it, sub, machine.Base, opts)
 		if err != nil {
+			return nil, fmt.Errorf("jitter: iteration %d skeleton: %w", it, err)
+		}
+		// Original (profiling) replay of this iteration at fmax.
+		if err := sk.RetimeInto(&orig, nil); err != nil {
 			return nil, fmt.Errorf("jitter: iteration %d original replay: %w", it, err)
 		}
 		res.OrigTime += orig.Time
@@ -156,10 +162,7 @@ func Run(cfg Config) (*Result, error) {
 		for r := 0; r < n; r++ {
 			freqs[r] = gears[idx[r]].Freq
 		}
-		adaptOpts := opts
-		adaptOpts.Freqs = freqs
-		adapt, err := dimemas.Simulate(sub, machine.Base, adaptOpts)
-		if err != nil {
+		if err := sk.RetimeInto(&adapt, freqs); err != nil {
 			return nil, fmt.Errorf("jitter: iteration %d adaptive replay: %w", it, err)
 		}
 		res.Time += adapt.Time

@@ -175,8 +175,8 @@ func TestSlackThresholdsControlAggressiveness(t *testing.T) {
 }
 
 // TestCachedRunMatchesUncached re-runs the emulation with a shared replay
-// cache: results must be bit-identical and the per-iteration profiling
-// replays must be memoized under the (parent, iteration) keys.
+// cache: results must be bit-identical and each iteration's skeleton must
+// be memoized once under its (parent, iteration) key.
 func TestCachedRunMatchesUncached(t *testing.T) {
 	six, _ := dvfs.Uniform(6)
 	tr := imbalancedTrace(8)
@@ -195,7 +195,7 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 		}
 	}
 	if got := cache.Len(); got != tr.Iterations() {
-		t.Errorf("cache holds %d replays, want one per iteration (%d)", got, tr.Iterations())
+		t.Errorf("cache holds %d skeletons, want one per iteration (%d)", got, tr.Iterations())
 	}
 }
 

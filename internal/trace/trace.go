@@ -139,7 +139,9 @@ func IterMark() Record { return Record{Kind: KindIterMark} }
 // caches both on the trace. Appending records via Add invalidates the cache
 // (the record count changes), but editing records in place after a replay
 // is not detected and yields stale, silently wrong replays — build a new
-// trace (or use ScaleCompute/ScaleComputePhased/Slice, which copy) instead.
+// trace (or use ScaleCompute/ScaleComputePhased, which copy) instead. Slice
+// does not copy: a slice shares its parent's records, so an in-place edit
+// of either would show in both.
 //
 // One in-place edit is sound and sanctioned: workload.Generate rewrites
 // only the message sizes of a trace it alone holds between the replays of
@@ -244,24 +246,34 @@ func (t *Trace) Iterations() int {
 // rank, where an iteration is the records up to and including its closing
 // IterMark. This mirrors the paper's Paraver region extraction (discarding
 // initialization). Ranks must carry at least `to` markers.
+//
+// The slice copies no records (see the Trace immutability note): each rank
+// is a capacity-clipped subslice of the parent's, so an Add on the slice
+// reallocates and never writes into the parent.
 func (t *Trace) Slice(from, to int) (*Trace, error) {
 	if from < 0 || to <= from {
 		return nil, fmt.Errorf("trace: invalid iteration range [%d, %d)", from, to)
 	}
 	out := New(fmt.Sprintf("%s[it%d:%d]", t.App, from, to), len(t.Ranks))
 	for r, recs := range t.Ranks {
-		iter := 0
-		for _, rec := range recs {
-			if iter >= from && iter < to {
-				out.Ranks[r] = append(out.Ranks[r], rec)
+		start, end, iter := 0, -1, 0
+		for i := range recs {
+			if recs[i].Kind != KindIterMark {
+				continue
 			}
-			if rec.Kind == KindIterMark {
-				iter++
+			iter++
+			if iter == from {
+				start = i + 1
+			}
+			if iter == to {
+				end = i + 1
+				break
 			}
 		}
-		if iter < to {
+		if end < 0 {
 			return nil, fmt.Errorf("trace: rank %d has only %d iterations, need %d", r, iter, to)
 		}
+		out.Ranks[r] = recs[start:end:end]
 	}
 	return out, nil
 }

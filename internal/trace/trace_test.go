@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -216,6 +217,56 @@ func TestSlice(t *testing.T) {
 	}
 	if _, err := tr.Slice(0, 9); err == nil {
 		t.Error("beyond available iterations should error")
+	}
+}
+
+// TestSliceSharesRecords pins the copy-free Slice: every range holds the
+// records a copying filter keeps, and appending to a slice never writes
+// into its parent.
+func TestSliceSharesRecords(t *testing.T) {
+	tr := New("iters", 3)
+	for r := 0; r < 3; r++ {
+		for it := 0; it < 4; it++ {
+			for k := 0; k <= r; k++ {
+				tr.Add(r, Compute(float64(10*it+k)))
+			}
+			tr.Add(r, IterMark())
+		}
+		tr.Add(r, Compute(99)) // trailing records after the last marker
+	}
+	for from := 0; from < 4; from++ {
+		for to := from + 1; to <= 4; to++ {
+			sub, err := tr.Slice(from, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, recs := range tr.Ranks {
+				var want []Record
+				iter := 0
+				for _, rec := range recs {
+					if iter >= from && iter < to {
+						want = append(want, rec)
+					}
+					if rec.Kind == KindIterMark {
+						iter++
+					}
+				}
+				if !reflect.DeepEqual(sub.Ranks[r], want) {
+					t.Fatalf("Slice(%d, %d) rank %d = %v, want %v", from, to, r, sub.Ranks[r], want)
+				}
+			}
+		}
+	}
+	sub, err := tr.Slice(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rank 0 holds a burst and a marker per iteration: the slice is
+	// records 2 and 3, and record 4 follows it in the parent.
+	next := tr.Ranks[0][4]
+	sub.Add(0, Compute(-1))
+	if tr.Ranks[0][4] != next {
+		t.Fatal("Add on a slice wrote into its parent")
 	}
 }
 

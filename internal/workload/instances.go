@@ -95,7 +95,11 @@ func InstanceFor(app string, nprocs int) (Instance, error) {
 }
 
 // Interpolate is InstanceFor without the CheckShape call: it computes the
-// instance's targets but does not check that its loads can be shaped.
+// instance's targets but does not check that its loads can be shaped. A
+// Table 3 (app, count) pair returns that Table 3 instance itself, so one
+// instance name always means one set of targets: interpolating at an
+// anchor need not round back to the table's values, and the PE headroom
+// clamp below would move SPECFEM3D-32 and BT-MZ-32.
 func Interpolate(app string, nprocs int) (Instance, error) {
 	as, ok := anchors[app]
 	if !ok {
@@ -103,6 +107,11 @@ func Interpolate(app string, nprocs int) (Instance, error) {
 	}
 	if nprocs < 2 {
 		return Instance{}, fmt.Errorf("workload: need at least 2 processes, got %d", nprocs)
+	}
+	for _, inst := range Table3() {
+		if inst.App == app && inst.NProcs == nprocs {
+			return inst, nil
+		}
 	}
 	var lb, pe float64
 	switch {

@@ -343,3 +343,18 @@ func TestPEPCHasTwoAntiCorrelatedPhases(t *testing.T) {
 		t.Errorf("phase A balance %.3f should be worse than total %.3f", lbA, lbTot)
 	}
 }
+
+// TestInterpolateTable3Rows pins that a Table 3 (app, count) pair resolves
+// to the Table 3 instance itself: interpolating at an anchor would move
+// BT-MZ-32's and SPECFEM3D-32's PE targets through the headroom clamp.
+func TestInterpolateTable3Rows(t *testing.T) {
+	for _, want := range Table3() {
+		got, err := Interpolate(want.App, want.NProcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("Interpolate(%s, %d) = %+v, want the Table 3 row %+v", want.App, want.NProcs, got, want)
+		}
+	}
+}
