@@ -152,7 +152,7 @@ type BatchResult = dimemas.BatchResult
 
 // ReplayCache memoizes timing skeletons keyed by (trace, FMax, platform),
 // one recording for every β, and the baseline (all-ranks-at-FMax) replays
-// retimed from them, keyed by β as well. Set AnalysisConfig.Cache —
+// retimed from them, which are the same at every β. Set AnalysisConfig.Cache —
 // or the Cache field of the jitter/phased/gear-search configs — to share
 // the original execution across many what-if runs of the same trace and to
 // turn every DVFS replay into a skeleton retiming. Safe for concurrent use.

@@ -139,6 +139,20 @@ func BenchmarkSimulateWRF128(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildSkeletonWRF128 measures recording WRF-128's timing
+// skeleton: one replay at FMax that appends every retirement to the
+// schedule, the cost a cache miss pays before any retime.
+func BenchmarkBuildSkeletonWRF128(b *testing.B) {
+	tr, p, opts, _ := wrfReplayInputs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildTimingSkeleton(tr, p, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRetimeWRF128 measures the same evaluation as
 // BenchmarkSimulateWRF128 off the recorded timing skeleton: bit-identical
 // results from a single allocation-free forward pass.

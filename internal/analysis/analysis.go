@@ -49,11 +49,6 @@ type Config struct {
 	// Rounding selects the gear-quantization rule; the zero value is the
 	// paper's closest-higher rule.
 	Rounding core.Rounding
-	// Baseline optionally supplies a precomputed original execution (all
-	// ranks at FMax) for this exact (Trace, Platform, Beta, FMax,
-	// RecordTimelines) combination. Run trusts it without re-checking; use
-	// Cache instead when the match cannot be guaranteed by construction.
-	Baseline *dimemas.Result
 	// Cache optionally memoizes original executions and timing skeletons
 	// across runs: sweeps that evaluate many variants of the same trace
 	// replay the baseline once instead of once per variant, and the DVFS
@@ -169,15 +164,12 @@ func run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Original execution: every rank at the nominal top frequency. A
-	// precomputed baseline short-circuits the replay; otherwise the cache
-	// (nil-safe: a nil cache simulates directly) memoizes it across runs.
-	orig := cfg.Baseline
-	if orig == nil {
-		orig, err = cfg.Cache.OriginalMachine(cfg.Trace, machine, simOpts)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: original replay: %w", err)
-		}
+	// Original execution: every rank at the nominal top frequency. The
+	// cache (nil-safe: a nil cache simulates directly) memoizes it across
+	// runs.
+	orig, err := cfg.Cache.OriginalMachine(cfg.Trace, machine, simOpts)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: original replay: %w", err)
 	}
 	lb, err := metrics.LoadBalance(orig.Compute)
 	if err != nil {

@@ -75,12 +75,9 @@ func runBatch(cfg Config, items []BatchItem) ([]*Result, []error, error) {
 	if cache == nil {
 		cache = dimemas.NewReplayCache()
 	}
-	orig := cfg.Baseline
-	if orig == nil {
-		orig, err = cache.OriginalMachine(cfg.Trace, machine, simOpts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("analysis: original replay: %w", err)
-		}
+	orig, err := cache.OriginalMachine(cfg.Trace, machine, simOpts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("analysis: original replay: %w", err)
 	}
 	lb, err := metrics.LoadBalance(orig.Compute)
 	if err != nil {

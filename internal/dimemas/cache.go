@@ -9,10 +9,12 @@ import (
 // replay or a timing skeleton. It carries the trace (by identity — traces
 // are immutable once simulated), an optional slice discriminator for
 // per-iteration replays, and every simulation input the artifact depends on.
+// Neither artifact depends on β: one recording serves every β, and at FMax
+// every burst's slowdown β·(fmax/fmax − 1) + 1 is exactly 1, so a baseline
+// has the same bits at every β.
 type replayKey struct {
 	tr       *trace.Trace
-	slice    int     // -1 for the whole trace; iteration index for slices
-	beta     float64 // baselines only: one recorded skeleton serves every β
+	slice    int // -1 for the whole trace; iteration index for slices
 	fmax     float64
 	platform Platform
 	// machine is Machine.Fingerprint(): the canonical encoding of the
@@ -35,12 +37,12 @@ type artifact struct {
 type CacheStats = memo.Stats
 
 // ReplayCache memoizes the two per-trace artifacts every analysis pipeline
-// re-derives — the frequency-independent timing skeleton, keyed by (trace,
-// FMax, platform) and recorded once for every β, and the baseline replay
-// (Options.Freqs == nil, every rank at FMax), keyed by β as well and filled
-// by retiming that skeleton. Sweeps, gear searches and server requests that
-// evaluate many gear assignments over the same trace pay for the recording
-// once and retime everything else. Baselines stay memoized beside the
+// re-derives — the frequency-independent timing skeleton and the baseline
+// replay (Options.Freqs == nil, every rank at FMax), both keyed by (trace,
+// FMax, platform) and shared by every β; the baseline is filled by retiming
+// the skeleton. Sweeps, gear searches and server requests that evaluate
+// many gear assignments over the same trace pay for the recording once and
+// retime everything else. Baselines stay memoized beside the
 // skeleton because serving paths read them on every request, and a memo
 // hit costs far less than even a nil-frequency retime.
 //
@@ -120,6 +122,12 @@ func (c *ReplayCache) skeleton(keyTrace *trace.Trace, slice int, build *trace.Tr
 	if c == nil {
 		return BuildSkeletonMachine(build, m, opts)
 	}
+	// Validate before the lookup: a hit would otherwise retime at an
+	// unchecked β, and a NaN in the key never hits, so every lookup would
+	// insert an entry.
+	if err := opts.validateModel(); err != nil {
+		return nil, err
+	}
 	k := replayKey{
 		tr:       keyTrace,
 		slice:    slice,
@@ -169,10 +177,12 @@ func (c *ReplayCache) original(t *trace.Trace, m Machine, opts Options) (*Result
 	if c == nil || opts.Freqs != nil {
 		return SimulateMachine(t, m, opts)
 	}
+	if err := opts.validateModel(); err != nil {
+		return nil, err
+	}
 	k := replayKey{
 		tr:       t,
 		slice:    -1,
-		beta:     opts.Beta,
 		fmax:     opts.FMax,
 		platform: m.Base,
 		machine:  m.Fingerprint(),

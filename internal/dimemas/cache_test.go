@@ -1,8 +1,10 @@
 package dimemas
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/stagerr"
 	"repro/internal/trace"
 )
 
@@ -128,4 +130,75 @@ func TestReplayCacheUnboundedNeverEvicts(t *testing.T) {
 	if s.Entries != 16 || s.Evictions != 0 {
 		t.Fatalf("stats = %+v, want 16 entries and 0 evictions", s)
 	}
+}
+
+// TestReplayCacheValidatesBeforeLookup pins that a cached lookup rejects an
+// out-of-range model exactly as an uncached build does, even once the key's
+// skeleton and baseline are memoized, and that a rejected lookup inserts no
+// entry (a NaN key would never hit, so it would otherwise grow the cache on
+// every call).
+func TestReplayCacheValidatesBeforeLookup(t *testing.T) {
+	p := DefaultPlatform()
+	tr := randomValidTrace(13, 4, 2, p.EagerLimit)
+	c := NewReplayCache()
+	if _, err := c.Original(tr, p, DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	entries := c.Len()
+	bad := []Options{
+		{Beta: math.NaN(), FMax: 2.3},
+		{Beta: 7, FMax: 2.3},
+		{Beta: -3, FMax: 2.3},
+		{Beta: 0.5, FMax: math.NaN()},
+	}
+	for _, o := range bad {
+		_, want := BuildSkeleton(tr, p, o)
+		if want == nil {
+			t.Fatalf("β=%v FMax=%v: uncached build accepted", o.Beta, o.FMax)
+		}
+		for i := 0; i < 2; i++ {
+			_, errSk := c.SkeletonFor(tr, p, o)
+			_, errOrig := c.Original(tr, p, o)
+			for name, err := range map[string]error{"SkeletonFor": errSk, "Original": errOrig} {
+				if err == nil || err.Error() != want.Error() {
+					t.Errorf("β=%v FMax=%v: cached %s returned %v, want %v", o.Beta, o.FMax, name, err, want)
+					continue
+				}
+				if stage, _ := stagerr.StageOf(err); stage != stagerr.Validate {
+					t.Errorf("β=%v FMax=%v: cached %s stage %q, want %q", o.Beta, o.FMax, name, stage, stagerr.Validate)
+				}
+			}
+		}
+	}
+	if c.Len() != entries {
+		t.Errorf("rejected lookups grew the cache from %d to %d entries", entries, c.Len())
+	}
+}
+
+// TestReplayCacheBaselineSharedAcrossBeta pins that a baseline is keyed
+// without β: at FMax every slowdown is exactly 1, so one baseline (beside
+// its skeleton) serves every β.
+func TestReplayCacheBaselineSharedAcrossBeta(t *testing.T) {
+	p := DefaultPlatform()
+	tr := randomValidTrace(14, 4, 2, p.EagerLimit)
+	c := NewReplayCache()
+	a, err := c.Original(tr, p, Options{Beta: 0.2, FMax: 2.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Original(tr, p, Options{Beta: 0.9, FMax: 2.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Error("a baseline at another β is not the memoized Result")
+	}
+	if c.Len() != 2 {
+		t.Errorf("cache holds %d entries, want 2 (one skeleton, one baseline)", c.Len())
+	}
+	want, err := Simulate(tr, p, Options{Beta: 0.9, FMax: 2.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualResults(t, "baseline at another β", b, want)
 }

@@ -225,6 +225,7 @@ type simContext struct {
 	queue  []int32 // ready queue: appended on wake, drained by a head cursor
 	queued []bool  // queue membership per rank
 	freqs  []float64
+	sd     []float64 // per rank: default-β slowdown at the rank's frequency
 	// Cooperative cancellation: step polls Options.Ctx every cancelStride
 	// retired records (a single step call can retire a rank's whole
 	// stream, so polling only between queue pops is not enough).
@@ -291,6 +292,20 @@ func SimulateMachine(t *trace.Trace, m Machine, opts Options) (*Result, error) {
 }
 
 func simulate(t *trace.Trace, m *Machine, opts Options) (*Result, error) {
+	idx, err := checkReplay(t, m, &opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkFreqs(opts.Freqs, idx.nranks); err != nil {
+		return nil, stagerr.Errorf(stagerr.Validate, "dimemas: %v", err)
+	}
+	return replay(t, idx, m, &opts, nil)
+}
+
+// checkReplay is the input check Simulate and BuildSkeleton share, in the
+// order both report failures: platform, trace, machine layers, then the
+// model parameters. It returns the trace's replay index.
+func checkReplay(t *trace.Trace, m *Machine, opts *Options) (*traceIndex, error) {
 	if err := m.Base.Validate(); err != nil {
 		return nil, err
 	}
@@ -298,19 +313,24 @@ func simulate(t *trace.Trace, m *Machine, opts Options) (*Result, error) {
 	if idx.err != nil {
 		return nil, stagerr.Wrap(stagerr.Validate, idx.err)
 	}
-	n := idx.nranks
 	if !m.Flat() {
-		if err := m.ValidateFor(n); err != nil {
+		if err := m.ValidateFor(idx.nranks); err != nil {
 			return nil, err
 		}
 	}
 	if err := opts.validateModel(); err != nil {
 		return nil, err
 	}
-	if err := checkFreqs(opts.Freqs, n); err != nil {
-		return nil, stagerr.Errorf(stagerr.Validate, "dimemas: %v", err)
-	}
+	return idx, nil
+}
 
+// replay is the one scheduler: it runs checked inputs to completion and,
+// when sk is non-nil, appends every retirement to sk's schedule as it
+// happens (see skeleton.go), so the skeleton's op order is by construction
+// the order this engine retires events in. A deadlock carries the retime
+// stage for a plain replay and the skeleton stage for a recording.
+func replay(t *trace.Trace, idx *traceIndex, m *Machine, opts *Options, sk *Skeleton) (*Result, error) {
+	n := idx.nranks
 	c := ctxPool.Get().(*simContext)
 	defer ctxPool.Put(c)
 	c.reset(idx)
@@ -321,6 +341,12 @@ func simulate(t *trace.Trace, m *Machine, opts Options) (*Result, error) {
 			c.freqs[i] = opts.FMax
 		}
 		freqs = c.freqs
+	}
+	c.sd = grow(c.sd, n)
+	for r, f := range freqs {
+		// Slowdown is deterministic per argument triple, so evaluating it
+		// once per rank gives the bits of evaluating it once per burst.
+		c.sd[r] = timemodel.Slowdown(opts.Beta, opts.FMax, f)
 	}
 	scale := m.ScaleVector()
 
@@ -340,14 +366,18 @@ func simulate(t *trace.Trace, m *Machine, opts Options) (*Result, error) {
 	for head := 0; head < len(c.queue); head++ {
 		r := c.queue[head]
 		c.queued[r] = false
-		c.step(int(r), t, idx, m, &opts, freqs, scale)
+		c.step(int(r), t, idx, m, opts, freqs, scale, sk)
 		if c.cancelled {
 			return nil, opts.Ctx.Err()
 		}
 	}
 	for r := 0; r < n; r++ {
 		if int(c.ranks[r].pc) < len(t.Ranks[r]) {
-			return nil, stagerr.Wrap(stagerr.Retime, deadlockError(t, func(r int) int { return int(c.ranks[r].pc) }))
+			stage := stagerr.Retime
+			if sk != nil {
+				stage = stagerr.Skeleton
+			}
+			return nil, stagerr.Wrap(stage, deadlockError(t, func(r int) int { return int(c.ranks[r].pc) }))
 		}
 	}
 
@@ -383,8 +413,8 @@ func (c *simContext) wake(r int32) {
 
 // step retires as many records as possible for rank r, parking it on the
 // first event that has not fired yet and waking the ranks unblocked by its
-// own progress.
-func (c *simContext) step(r int, t *trace.Trace, idx *traceIndex, m *Machine, opts *Options, freqs, scale []float64) {
+// own progress. With a recorder sk, each retirement also appends its op.
+func (c *simContext) step(r int, t *trace.Trace, idx *traceIndex, m *Machine, opts *Options, freqs, scale []float64, sk *Skeleton) {
 	rs := &c.ranks[r]
 	recs := t.Ranks[r]
 	chanOf := idx.chanOf[r]
@@ -425,10 +455,6 @@ func (c *simContext) step(r int, t *trace.Trace, idx *traceIndex, m *Machine, op
 
 		switch rec.Kind {
 		case trace.KindCompute:
-			beta := rec.Beta
-			if beta < 0 {
-				beta = opts.Beta
-			}
 			dur := rec.Duration
 			if scale != nil {
 				// Capability stretch first, DVFS slowdown second — the
@@ -436,7 +462,14 @@ func (c *simContext) step(r int, t *trace.Trace, idx *traceIndex, m *Machine, op
 				// retimes stay bit-identical to this replay.
 				dur *= scale[r]
 			}
-			d := dur * timemodel.Slowdown(beta, opts.FMax, freqs[r])
+			sd := c.sd[r]
+			if rec.Beta >= 0 {
+				sd = timemodel.Slowdown(rec.Beta, opts.FMax, freqs[r])
+			}
+			if sk != nil {
+				sk.recordCompute(r, dur, rec.Beta)
+			}
+			d := dur * sd
 			c.addSeg(rs, rs.clock, rs.clock+d, StateCompute, opts)
 			rs.clock += d
 			rs.compute += d
@@ -460,6 +493,9 @@ func (c *simContext) step(r int, t *trace.Trace, idx *traceIndex, m *Machine, op
 				rs.sendIdx = si
 				return
 			}
+			if sk != nil {
+				sk.ops = append(sk.ops, skelOp{kind: opSendEager, rank: int32(r), arg: si})
+			}
 			c.addSeg(rs, start, rs.clock, StateComm, opts)
 			rs.pc++
 
@@ -475,18 +511,26 @@ func (c *simContext) step(r int, t *trace.Trace, idx *traceIndex, m *Machine, op
 				ch.waiter = int32(r)
 				return
 			}
-			e := &c.sends[ch.base+ch.paired]
+			si := ch.base + ch.paired
+			e := &c.sends[si]
 			ch.paired++
-			wire := m.transferPair(int(idx.chanSrc[cid]), r, e.bytes)
+			src := idx.chanSrc[cid]
+			wire := m.transferPair(int(src), r, e.bytes)
 			if e.rendezvous {
 				end := math.Max(rs.clock, e.ready) + wire
 				e.done = true
 				e.end = end
 				rs.clock = end
-				c.wake(idx.chanSrc[cid])
+				c.wake(src)
+				if sk != nil {
+					sk.ops = append(sk.ops, skelOp{kind: opRecvRend, rank: int32(r), src: src, f1: wire})
+				}
 			} else {
 				arrival := e.ready + wire
 				rs.clock = math.Max(rs.clock, arrival)
+				if sk != nil {
+					sk.ops = append(sk.ops, skelOp{kind: opRecvEager, rank: int32(r), arg: si, f1: wire})
+				}
 			}
 			c.addSeg(rs, rs.blockStart, rs.clock, StateComm, opts)
 			rs.blocked = notBlocked
@@ -499,8 +543,15 @@ func (c *simContext) step(r int, t *trace.Trace, idx *traceIndex, m *Machine, op
 				ci.maxReady = rs.clock
 			}
 			if int(ci.arrived) == n {
+				// Validate guarantees every rank joins an instance with the
+				// same operation and payload, so the last arrival's record
+				// prices it under any gear assignment.
+				cost := m.collectiveCost(rec.Coll, rec.Bytes, n)
 				ci.complete = true
-				ci.end = ci.maxReady + m.collectiveCost(rec.Coll, rec.Bytes, n)
+				ci.end = ci.maxReady + cost
+				if sk != nil {
+					sk.ops = append(sk.ops, skelOp{kind: opColl, rank: int32(r), f1: cost})
+				}
 				c.addSeg(rs, rs.clock, ci.end, StateComm, opts)
 				rs.clock = ci.end
 				collID := rs.collIdx
@@ -549,8 +600,7 @@ func appendSeg(segs []Segment, start, end float64, st State) []Segment {
 }
 
 // deadlockError formats the blocked-ranks diagnostic from each rank's stuck
-// program counter. Shared by the replay engine and skeleton construction so
-// both surface the identical message for the same trace.
+// program counter, the message Simulate and BuildSkeleton both surface.
 func deadlockError(t *trace.Trace, pc func(rank int) int) error {
 	var sb strings.Builder
 	for r := range t.Ranks {

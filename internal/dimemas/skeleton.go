@@ -6,10 +6,12 @@ package dimemas
 // — is fixed by the trace and the platform; only event *times* depend on the
 // per-rank DVFS frequencies. Control flow in the replay engine never reads a
 // clock (blocking and wake-ups are decided purely by matching availability),
-// so one structure-only replay can record the whole schedule as a flat op
-// list. Retime then re-times any gear assignment with a single forward pass
-// over that list — no queues, no blocking states, no channel bookkeeping —
-// and produces a Result bit-identical to Simulate.
+// so one replay at any frequencies retires events in the order every other
+// replay would. BuildSkeleton runs that replay once with a recorder, which
+// appends each retirement to a flat op list. Retime then re-times any gear
+// assignment with a single forward pass over that list — no queues, no
+// blocking states, no channel bookkeeping — and produces a Result
+// bit-identical to Simulate.
 
 import (
 	"math"
@@ -101,33 +103,10 @@ func (s *Skeleton) NumRanks() int { return s.nranks }
 // NumOps returns the schedule length (for diagnostics and benchmarks).
 func (s *Skeleton) NumOps() int { return len(s.ops) }
 
-// skelBuilder is the structure-only scheduler state: the replay engine's
-// control plane (program counters, blocking states, channel and collective
-// progress) without any clocks.
-type skelBuilder struct {
-	pc       []int32
-	collIdx  []int32
-	blocked  []blockKind
-	sendSlot []int32 // pending rendezvous arena slot per rank
-	posted   []int32 // per channel
-	paired   []int32 // per channel
-	waiter   []int32 // per channel; -1 when none
-	arrived  []int32 // per collective instance
-	complete []bool  // per collective instance
-	done     []bool  // per send slot: rendezvous pairing completed
-	rend     []bool  // per send slot: uses the rendezvous protocol
-	queue    []int32
-	queued   []bool
-	// Cooperative cancellation, mirroring simContext: buildStep polls
-	// Options.Ctx every cancelStride retired records.
-	steps     int
-	cancelled bool
-}
-
-// BuildSkeleton replays the trace's communication structure once at zero
-// cost per event (no floating-point work) and records the retirement
-// schedule. opts supplies FMax, the β the skeleton retimes at (the schedule
-// itself does not depend on it) and an optional Ctx; Freqs and
+// BuildSkeleton records the trace's retirement schedule by running the
+// replay engine once with every rank at FMax and appending an op at every
+// retirement point. opts supplies FMax, the β the skeleton retimes at (the
+// schedule itself does not depend on it) and an optional Ctx; Freqs and
 // RecordTimeline are ignored because the skeleton is independent of both.
 // A trace that would deadlock under Simulate fails here with the identical
 // diagnostic.
@@ -153,219 +132,37 @@ func BuildSkeletonMachine(t *trace.Trace, m Machine, opts Options) (*Skeleton, e
 }
 
 func buildSkeleton(t *trace.Trace, m *Machine, opts Options) (*Skeleton, error) {
-	if err := m.Base.Validate(); err != nil {
-		return nil, err
-	}
-	idx := t.ReplayIndex(buildIndex).(*traceIndex)
-	if idx.err != nil {
-		return nil, stagerr.Wrap(stagerr.Validate, idx.err)
-	}
-	if !m.Flat() {
-		if err := m.ValidateFor(idx.nranks); err != nil {
-			return nil, err
-		}
-	}
-	if err := opts.validateModel(); err != nil {
+	idx, err := checkReplay(t, m, &opts)
+	if err != nil {
 		return nil, err
 	}
 	if err := faults.Check(faults.SkeletonBuild); err != nil {
 		return nil, stagerr.Wrap(stagerr.Skeleton, err)
 	}
-	n := idx.nranks
 	s := &Skeleton{
-		nranks:   n,
+		nranks:   idx.nranks,
 		nslots:   idx.totalSends,
 		beta:     opts.Beta,
 		fmax:     opts.FMax,
 		overhead: m.Base.Overhead,
 		ops:      make([]skelOp, 0, t.NumRecords()),
 	}
-	nchans := len(idx.chanBase)
-	b := &skelBuilder{
-		pc:       make([]int32, n),
-		collIdx:  make([]int32, n),
-		blocked:  make([]blockKind, n),
-		sendSlot: make([]int32, n),
-		posted:   make([]int32, nchans),
-		paired:   make([]int32, nchans),
-		waiter:   make([]int32, nchans),
-		arrived:  make([]int32, idx.numColls),
-		complete: make([]bool, idx.numColls),
-		done:     make([]bool, idx.totalSends),
-		rend:     make([]bool, idx.totalSends),
-		queue:    make([]int32, 0, n),
-		queued:   make([]bool, n),
-	}
-	for c := range b.waiter {
-		b.waiter[c] = -1
-	}
-	for r := 0; r < n; r++ {
-		b.queue = append(b.queue, int32(r))
-		b.queued[r] = true
-	}
-	if opts.Ctx != nil {
-		if err := opts.Ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	scale := m.ScaleVector()
-	for head := 0; head < len(b.queue); head++ {
-		r := b.queue[head]
-		b.queued[r] = false
-		s.buildStep(b, int(r), t, idx, m, &opts, scale)
-		if b.cancelled {
-			return nil, opts.Ctx.Err()
-		}
-	}
-	for r := 0; r < n; r++ {
-		if int(b.pc[r]) < len(t.Ranks[r]) {
-			return nil, stagerr.Wrap(stagerr.Skeleton, deadlockError(t, func(r int) int { return int(b.pc[r]) }))
-		}
+	opts.Freqs, opts.RecordTimeline = nil, false
+	if _, err := replay(t, idx, m, &opts, s); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-func (b *skelBuilder) wake(r int32) {
-	if !b.queued[r] {
-		b.queued[r] = true
-		b.queue = append(b.queue, r)
+// recordCompute appends one burst of dur (capability stretch included) with
+// the record's β override, or none when beta < 0.
+func (s *Skeleton) recordCompute(r int, dur, beta float64) {
+	if beta < 0 {
+		s.ops = append(s.ops, skelOp{kind: opCompute, rank: int32(r), f1: dur})
+		return
 	}
-}
-
-// buildStep retires as many records as possible for rank r, mirroring
-// simContext.step with the arithmetic stripped out and ops emitted at every
-// retirement point.
-func (s *Skeleton) buildStep(b *skelBuilder, r int, t *trace.Trace, idx *traceIndex, m *Machine, opts *Options, scale []float64) {
-	recs := t.Ranks[r]
-	chanOf := idx.chanOf[r]
-	n := idx.nranks
-	for int(b.pc[r]) < len(recs) {
-		if opts.Ctx != nil {
-			if b.steps++; b.steps%cancelStride == 0 && opts.Ctx.Err() != nil {
-				b.cancelled = true
-				return
-			}
-		}
-		rec := &recs[b.pc[r]]
-		switch b.blocked[r] {
-		case blockedSend:
-			// The fused opRecvRend already advanced this rank's clock; no
-			// op to emit, just unpark.
-			if !b.done[b.sendSlot[r]] {
-				return
-			}
-			b.blocked[r] = notBlocked
-			b.pc[r]++
-			continue
-		case blockedColl:
-			// The fused opColl already advanced this rank's clock.
-			if !b.complete[b.collIdx[r]] {
-				return
-			}
-			b.collIdx[r]++
-			b.blocked[r] = notBlocked
-			b.pc[r]++
-			continue
-		case blockedRecv:
-			// Re-attempt the pairing below.
-		}
-
-		switch rec.Kind {
-		case trace.KindCompute:
-			dur := rec.Duration
-			if scale != nil {
-				// Capability efficiency is gear-independent; baking the
-				// stretch into the recorded duration makes every retime
-				// tier heterogeneity-aware with unchanged arithmetic.
-				dur *= scale[r]
-			}
-			if rec.Beta < 0 {
-				s.ops = append(s.ops, skelOp{kind: opCompute, rank: int32(r), f1: dur})
-			} else {
-				s.ops = append(s.ops, skelOp{kind: opComputeBeta, rank: int32(r), f1: dur, arg: int32(len(s.betas))})
-				s.betas = append(s.betas, rec.Beta)
-			}
-			b.pc[r]++
-
-		case trace.KindSend:
-			cid := chanOf[b.pc[r]]
-			si := idx.chanBase[cid] + b.posted[cid]
-			b.posted[cid]++
-			rendezvous := rec.Bytes > m.Base.EagerLimit
-			b.rend[si] = rendezvous
-			if w := b.waiter[cid]; w >= 0 {
-				b.wake(w)
-				b.waiter[cid] = -1
-			}
-			if rendezvous {
-				// No op: the sender is frozen until the pairing, so the
-				// fused opRecvRend recovers its post state from its clock.
-				b.blocked[r] = blockedSend
-				b.sendSlot[r] = si
-				return
-			}
-			s.ops = append(s.ops, skelOp{kind: opSendEager, rank: int32(r), arg: si})
-			b.pc[r]++
-
-		case trace.KindRecv:
-			cid := chanOf[b.pc[r]]
-			if b.paired[cid] >= b.posted[cid] {
-				b.blocked[r] = blockedRecv
-				b.waiter[cid] = int32(r)
-				return
-			}
-			si := idx.chanBase[cid] + b.paired[cid]
-			b.paired[cid]++
-			// Validate guarantees the k-th send and k-th receive of a
-			// channel carry the same byte count, so the receive record's
-			// size yields the identical wire time Simulate derives from
-			// the posted send. The pair's link is resolved here, at record
-			// time — wire costs are gear-independent, so the retime tiers
-			// never need the topology.
-			wire := m.transferPair(int(idx.chanSrc[cid]), r, rec.Bytes)
-			if b.rend[si] {
-				s.ops = append(s.ops, skelOp{kind: opRecvRend, rank: int32(r), src: idx.chanSrc[cid], f1: wire})
-				b.done[si] = true
-				b.wake(idx.chanSrc[cid])
-			} else {
-				s.ops = append(s.ops, skelOp{kind: opRecvEager, rank: int32(r), arg: si, f1: wire})
-			}
-			b.blocked[r] = notBlocked
-			b.pc[r]++
-
-		case trace.KindColl:
-			ci := b.collIdx[r]
-			b.arrived[ci]++
-			if int(b.arrived[ci]) == n {
-				b.complete[ci] = true
-				// Validate guarantees every rank joins instance ci with
-				// the same operation and payload, so the cost taken from
-				// this rank's record matches whichever rank arrives last
-				// under any gear assignment.
-				cost := m.collectiveCost(rec.Coll, rec.Bytes, n)
-				s.ops = append(s.ops, skelOp{kind: opColl, rank: int32(r), f1: cost})
-				b.collIdx[r]++
-				b.pc[r]++
-				for o := 0; o < n; o++ {
-					if b.blocked[o] == blockedColl && b.collIdx[o] == ci {
-						b.wake(int32(o))
-					}
-				}
-				continue
-			}
-			// No op: at the final arrival every rank is parked here, so
-			// the fused opColl reads all arrival clocks directly.
-			b.blocked[r] = blockedColl
-			return
-
-		case trace.KindIterMark:
-			b.pc[r]++
-
-		default:
-			// Unreachable after Validate; defensive (matches Simulate).
-			b.pc[r]++
-		}
-	}
+	s.ops = append(s.ops, skelOp{kind: opComputeBeta, rank: int32(r), f1: dur, arg: int32(len(s.betas))})
+	s.betas = append(s.betas, beta)
 }
 
 // retimeContext holds the per-pass scratch arrays, recycled through a pool

@@ -16,9 +16,9 @@ import (
 )
 
 // TestCachedBaselineByteIdentical runs the full pipeline for all twelve
-// Table 3 applications three ways — uncached, through a shared ReplayCache,
-// and with an explicitly precomputed Baseline — and requires byte-identical
-// Results (every float compared exactly, via reflect.DeepEqual).
+// Table 3 applications two ways — uncached and through a shared ReplayCache
+// — and requires byte-identical Results (every float compared exactly, via
+// reflect.DeepEqual).
 func TestCachedBaselineByteIdentical(t *testing.T) {
 	six, err := dvfs.Uniform(6)
 	if err != nil {
@@ -56,24 +56,9 @@ func TestCachedBaselineByteIdentical(t *testing.T) {
 		if !reflect.DeepEqual(uncached, cached) {
 			t.Errorf("%s: cached result differs from uncached", app)
 		}
-
-		orig, err := cache.Original(tr, cfg.Platform,
-			dimemas.Options{Beta: *cfg.Beta, FMax: cfg.FMax})
-		if err != nil {
-			t.Fatal(err)
-		}
-		withBaseline := cfg
-		withBaseline.Baseline = orig
-		precomputed, err := analysis.Run(withBaseline)
-		if err != nil {
-			t.Fatalf("%s: baseline: %v", app, err)
-		}
-		if !reflect.DeepEqual(uncached, precomputed) {
-			t.Errorf("%s: precomputed-baseline result differs from uncached", app)
-		}
 	}
-	// One baseline plus one timing skeleton per (trace, FMax, platform) at
-	// one β: twelve apps, two keys each.
+	// One baseline plus one timing skeleton per (trace, FMax, platform):
+	// twelve apps, two keys each.
 	if cache.Len() != 2*len(AppNames()) {
 		t.Errorf("cache holds %d entries, want %d (baseline + skeleton per app)", cache.Len(), 2*len(AppNames()))
 	}
@@ -96,8 +81,7 @@ func TestSuiteSharesBaselinesAcrossVariants(t *testing.T) {
 }
 
 // TestFigure5SharesSkeletonsAcrossBeta verifies that the β sweep records
-// each app once: one skeleton per app serves all eight β, and each β adds
-// only its own baseline.
+// each app once: one skeleton and one baseline per app serve all eight β.
 func TestFigure5SharesSkeletonsAcrossBeta(t *testing.T) {
 	s := QuickSuite()
 	s.cache = sharedSuite.cache // reuse generated traces
@@ -105,8 +89,8 @@ func TestFigure5SharesSkeletonsAcrossBeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.replays.Len(), len(sw.Apps)*(1+len(sw.Cols)); got != want {
-		t.Errorf("β sweep memoized %d entries for %d apps × %d β, want %d (one skeleton and a baseline per β, per app)",
+	if got, want := s.replays.Len(), 2*len(sw.Apps); got != want {
+		t.Errorf("β sweep memoized %d entries for %d apps × %d β, want %d (one skeleton and one baseline per app)",
 			got, len(sw.Apps), len(sw.Cols), want)
 	}
 }

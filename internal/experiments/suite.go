@@ -136,9 +136,9 @@ func (s *Suite) analyze(app string, v variant) (*analysis.Result, error) {
 }
 
 // variantConfig assembles the analysis configuration of one sweep cell on
-// the suite's shared replay cache. One skeleton recording per trace serves
-// every β, so a variant at an off-default β (Figure 5's sweep) retimes the
-// app's default-β recording and memoizes only its own small baseline.
+// the suite's shared replay cache. One skeleton recording and one baseline
+// per trace serve every β, so a variant at an off-default β (Figure 5's
+// sweep) memoizes nothing new: it retimes the app's default-β recording.
 func (s *Suite) variantConfig(tr *trace.Trace, v variant) analysis.Config {
 	beta := v.beta
 	if beta == 0 {
