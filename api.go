@@ -150,26 +150,21 @@ type DeltaState = dimemas.DeltaState
 // returns candidate c's view as a SimResult.
 type BatchResult = dimemas.BatchResult
 
-// ReplayCache memoizes timing skeletons keyed by (trace, FMax, platform),
-// one recording for every β, and the baseline (all-ranks-at-FMax) replays
-// retimed from them, which are the same at every β. Set AnalysisConfig.Cache —
-// or the Cache field of the jitter/phased/gear-search configs — to share
-// the original execution across many what-if runs of the same trace and to
-// turn every DVFS replay into a skeleton retiming. Safe for concurrent use.
+// ReplayCache memoizes one recording per (trace, FMax, platform): the
+// timing skeleton, shared by every β, and the baseline (all-ranks-at-FMax)
+// replays retimed from it on first read, which are the same at every β. Set
+// AnalysisConfig.Cache — or the Cache field of the jitter/phased/gear-search
+// configs — to share the original execution across many what-if runs of the
+// same trace and to turn every DVFS replay into a skeleton retiming. Safe
+// for concurrent use.
 type ReplayCache = dimemas.ReplayCache
 
-// CacheStats snapshots a ReplayCache's hit/miss/eviction counters.
+// CacheStats snapshots a ReplayCache's hit/miss/eviction counters; Entries
+// counts recordings.
 type CacheStats = dimemas.CacheStats
 
-// NewReplayCache returns an empty, unbounded baseline-replay cache.
+// NewReplayCache returns an empty, unbounded cache of recordings.
 func NewReplayCache() *ReplayCache { return dimemas.NewReplayCache() }
-
-// NewReplayCacheWithLimit returns a baseline-replay cache bounded to at
-// most maxEntries memoized replays (LRU eviction) — use it in long-running
-// processes such as the pwrsimd daemon. maxEntries ≤ 0 means unbounded.
-func NewReplayCacheWithLimit(maxEntries int) *ReplayCache {
-	return dimemas.NewReplayCacheWithLimit(maxEntries)
-}
 
 // CompareAlgorithms runs MAX and AVG on the same trace with their
 // respective gear sets (Figure 10 of the paper).

@@ -235,6 +235,26 @@ func BenchmarkRetimeBatch(b *testing.B) {
 	b.ReportMetric(float64(len(cands)), "candidates/op")
 }
 
+// BenchmarkReplayCacheBaselineHit measures a warm ReplayCache read of
+// WRF-128's timeline baseline: the read powercap, analyze and batch
+// requests make on every request, which must stay a memo hit rather than a
+// retime.
+func BenchmarkReplayCacheBaselineHit(b *testing.B) {
+	tr, p, opts, _ := wrfReplayInputs(b)
+	opts.RecordTimeline = true
+	cache := NewReplayCache()
+	if _, err := cache.Original(tr, p, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cache.Original(tr, p, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAnalyzeWRF128 measures the full uncached pipeline (baseline
 // replay + assignment + DVFS replay + energy accounting) on WRF-128.
 func BenchmarkAnalyzeWRF128(b *testing.B) {

@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		addr         = fs.String("addr", ":8723", "listen address")
 		maxInFlight  = fs.Int("max-inflight", 0, "concurrent simulation requests (0 = 2×GOMAXPROCS)")
 		timeout      = fs.Duration("timeout", 60*time.Second, "per-request timeout")
-		cacheEntries = fs.Int("cache-entries", 512, "replay-cache LRU bound (negative = unbounded)")
+		cacheEntries = fs.Int("cache-entries", 512, "replay-cache LRU bound in recordings: one per trace × machine × FMax, each a skeleton with up to two baselines (negative = unbounded)")
 		traceEntries = fs.Int("trace-cache-entries", 32, "generated-workload memo LRU bound (negative = unbounded)")
 		maxBody      = fs.Int64("max-body", 8<<20, "maximum request body bytes")
 		drain        = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")

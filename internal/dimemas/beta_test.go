@@ -131,8 +131,8 @@ func FuzzRecordingAnyBeta(f *testing.F) {
 			}
 			check("cached baseline", got, simulate(tr, nil, timeline))
 		}
-		if cache.Len() != 3 {
-			t.Fatalf("cache holds %d entries, want one skeleton and two baselines", cache.Len())
+		if cache.Len() != 1 {
+			t.Fatalf("cache holds %d entries, want one recording", cache.Len())
 		}
 	})
 }

@@ -2,8 +2,10 @@ package dimemas
 
 import (
 	"math"
+	"sync"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/stagerr"
 	"repro/internal/trace"
 )
@@ -32,10 +34,10 @@ func TestReplayCacheStatsCounters(t *testing.T) {
 	if _, err := c.Original(tr, p, opts); err != nil {
 		t.Fatal(err)
 	}
-	// The first baseline fill also records the skeleton it is retimed
-	// from: two misses, two entries; the second lookup hits the baseline.
+	// The first baseline read records the skeleton it is retimed from:
+	// one miss, one entry; the second lookup hits the recording.
 	s := c.Stats()
-	want := CacheStats{Hits: 1, Misses: 2, Evictions: 0, Entries: 2}
+	want := CacheStats{Hits: 1, Misses: 1, Evictions: 0, Entries: 1}
 	if s != want {
 		t.Fatalf("stats = %+v, want %+v", s, want)
 	}
@@ -58,9 +60,8 @@ func TestReplayCacheNilStats(t *testing.T) {
 	}
 }
 
-// TestReplayCacheLRUEviction drives the LRU on skeleton entries, which
-// are one entry per trace; a baseline fill adds its skeleton as a second
-// entry, which TestReplayCacheStatsCounters pins.
+// TestReplayCacheLRUEviction drives the LRU on recordings, one entry per
+// trace whether a skeleton or a baseline read filled it.
 func TestReplayCacheLRUEviction(t *testing.T) {
 	c := NewReplayCacheWithLimit(2)
 	p := DefaultPlatform()
@@ -125,10 +126,10 @@ func TestReplayCacheUnboundedNeverEvicts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Each baseline is memoized beside the skeleton it was retimed from.
+	// Each baseline is stored in the recording it was retimed from.
 	s := c.Stats()
-	if s.Entries != 16 || s.Evictions != 0 {
-		t.Fatalf("stats = %+v, want 16 entries and 0 evictions", s)
+	if s.Entries != 8 || s.Evictions != 0 {
+		t.Fatalf("stats = %+v, want 8 entries and 0 evictions", s)
 	}
 }
 
@@ -176,8 +177,8 @@ func TestReplayCacheValidatesBeforeLookup(t *testing.T) {
 }
 
 // TestReplayCacheBaselineSharedAcrossBeta pins that a baseline is keyed
-// without β: at FMax every slowdown is exactly 1, so one baseline (beside
-// its skeleton) serves every β.
+// without β: at FMax every slowdown is exactly 1, so one baseline (in its
+// recording) serves every β.
 func TestReplayCacheBaselineSharedAcrossBeta(t *testing.T) {
 	p := DefaultPlatform()
 	tr := randomValidTrace(14, 4, 2, p.EagerLimit)
@@ -193,12 +194,118 @@ func TestReplayCacheBaselineSharedAcrossBeta(t *testing.T) {
 	if a != b {
 		t.Error("a baseline at another β is not the memoized Result")
 	}
-	if c.Len() != 2 {
-		t.Errorf("cache holds %d entries, want 2 (one skeleton, one baseline)", c.Len())
+	if c.Len() != 1 {
+		t.Errorf("cache holds %d entries, want 1 (one recording)", c.Len())
 	}
 	want, err := Simulate(tr, p, Options{Beta: 0.9, FMax: 2.3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustEqualResults(t, "baseline at another β", b, want)
+}
+
+// TestReplayCacheBoundOfOne pins that a baseline hits at a bound of one
+// recording: the baseline lives in the recording, so filling it inserts
+// nothing that could evict it.
+func TestReplayCacheBoundOfOne(t *testing.T) {
+	c := NewReplayCacheWithLimit(1)
+	tr := tinyTrace(1)
+	for i := 0; i < 3; i++ {
+		if _, err := c.Original(tr, DefaultPlatform(), DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := CacheStats{Hits: 2, Misses: 1, Evictions: 0, Entries: 1}
+	if s := c.Stats(); s != want {
+		t.Fatalf("stats = %+v, want %+v", s, want)
+	}
+}
+
+// TestReplayCacheBaselineFaultNotStored pins that a baseline retime that
+// fails is returned to its reader and not stored: the next read retimes
+// again and succeeds, and the cache memoizes no error.
+func TestReplayCacheBaselineFaultNotStored(t *testing.T) {
+	p := DefaultPlatform()
+	tr := randomValidTrace(15, 4, 2, p.EagerLimit)
+	c := NewReplayCache()
+	opts := DefaultOptions()
+	if _, err := c.SkeletonFor(tr, p, opts); err != nil {
+		t.Fatal(err)
+	}
+	faults.Enable(faults.NewRegistry(3, map[faults.Point]uint64{faults.Retime: 1}))
+	defer faults.Disable()
+	if _, err := c.Original(tr, p, opts); !faults.IsInjected(err) {
+		t.Fatalf("baseline read under an injected retime fault returned %v", err)
+	}
+	faults.Disable()
+	got, err := c.Original(tr, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := c.Original(tr, p, opts); again != got {
+		t.Error("a baseline retimed after a fault is not stored")
+	}
+	if errs := c.MemoizedErrors(); len(errs) != 0 {
+		t.Errorf("memoized errors after a baseline fault: %v", errs)
+	}
+	want, err := Simulate(tr, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualResults(t, "baseline after a fault", got, want)
+}
+
+// TestReplayCacheConcurrentReadersShareOneRecording pins that concurrent
+// first readers of one key, through every entry point, share one recording
+// and one Result per baseline.
+func TestReplayCacheConcurrentReadersShareOneRecording(t *testing.T) {
+	const n = 8
+	p := DefaultPlatform()
+	tr := randomValidTrace(16, 4, 2, p.EagerLimit)
+	c := NewReplayCache()
+	opts := DefaultOptions()
+	withTL := opts
+	withTL.RecordTimeline = true
+	var (
+		wg    sync.WaitGroup
+		plain [n]*Result
+		tl    [n]*Result
+		skels [n]*Skeleton
+	)
+	for i := 0; i < n; i++ {
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			var err error
+			if plain[i], err = c.Original(tr, p, opts); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			var err error
+			if tl[i], err = c.Original(tr, p, withTL); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			var err error
+			if skels[i], err = c.SkeletonFor(tr, p, opts); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if plain[i] != plain[0] || tl[i] != tl[0] || skels[i] != skels[0] {
+			t.Fatalf("reader %d got a different pointer", i)
+		}
+	}
+	if plain[0] == tl[0] || tl[0].Timeline == nil || plain[0].Timeline != nil {
+		t.Error("the baselines with and without a timeline are not distinct")
+	}
+	if s := c.Stats(); s.Misses != 1 || s.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 miss and 1 entry", s)
+	}
 }

@@ -285,8 +285,8 @@ func TestReplayCacheMachineKeying(t *testing.T) {
 	opts := Options{Beta: 0.5, FMax: 2.3}
 
 	// Flat machine and plain Platform mint the same key: second call hits.
-	// The first call misses twice (the baseline and the skeleton it is
-	// retimed from).
+	// The first call misses once (the recording the baseline is retimed
+	// from).
 	if _, err := cache.Original(tr, p, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +294,8 @@ func TestReplayCacheMachineKeying(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.Stats()
-	if st.Hits != 1 || st.Misses != 2 {
-		t.Errorf("flat keying: hits=%d misses=%d, want 1/2", st.Hits, st.Misses)
+	if st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("flat keying: hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
 	}
 
 	// A heterogeneous machine mints a distinct key.
@@ -311,8 +311,8 @@ func TestReplayCacheMachineKeying(t *testing.T) {
 	if r1 == flatRes {
 		t.Error("heterogeneous machine shared the flat machine's cache entry")
 	}
-	if cache.Len() != 4 { // a baseline and a skeleton per machine
-		t.Errorf("entries = %d, want 4", cache.Len())
+	if cache.Len() != 2 { // one recording per machine
+		t.Errorf("entries = %d, want 2", cache.Len())
 	}
 }
 

@@ -253,16 +253,16 @@ func TestReplayCacheSharesBaseline(t *testing.T) {
 	if a != b {
 		t.Error("second Original did not return the memoized Result")
 	}
-	// The baseline is memoized beside the skeleton it was retimed from.
-	if cache.Len() != 2 {
-		t.Errorf("cache holds %d entries, want 2", cache.Len())
+	// The baseline is stored in the recording it was retimed from.
+	if cache.Len() != 1 {
+		t.Errorf("cache holds %d entries, want 1", cache.Len())
 	}
 	// A different platform is a different key.
 	if _, err := cache.Original(tr, flatPlatform(), opts); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Len() != 4 {
-		t.Errorf("cache holds %d entries, want 4", cache.Len())
+	if cache.Len() != 2 {
+		t.Errorf("cache holds %d entries, want 2", cache.Len())
 	}
 	// Explicit frequencies bypass the cache entirely.
 	withFreqs := opts
@@ -270,7 +270,7 @@ func TestReplayCacheSharesBaseline(t *testing.T) {
 	if _, err := cache.Original(tr, DefaultPlatform(), withFreqs); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Len() != 4 {
+	if cache.Len() != 2 {
 		t.Errorf("Freqs replay was cached: %d entries", cache.Len())
 	}
 	// Nil caches degrade to plain simulation.
@@ -296,11 +296,11 @@ func TestReplayCacheSliceKeying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := cache.SkeletonForSlice(tr, 1, sub1, DefaultPlatform(), opts)
+	a, err := cache.SkeletonForSlice(tr, 1, sub1, FlatMachine(DefaultPlatform()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cache.SkeletonForSlice(tr, 1, sub2, DefaultPlatform(), opts)
+	b, err := cache.SkeletonForSlice(tr, 1, sub2, FlatMachine(DefaultPlatform()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,18 +317,18 @@ func TestReplayCacheSliceKeying(t *testing.T) {
 	}
 	mustEqualResults(t, "slice skeleton", want, got)
 	// A different iteration, and the whole trace, are distinct keys; the
-	// whole trace's baseline fills its skeleton entry too.
+	// whole trace's baseline is stored in its recording.
 	sub0, err := tr.Slice(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.SkeletonForSlice(tr, 0, sub0, DefaultPlatform(), opts); err != nil {
+	if _, err := cache.SkeletonForSlice(tr, 0, sub0, FlatMachine(DefaultPlatform()), opts); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cache.Original(tr, DefaultPlatform(), opts); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Len() != 4 {
-		t.Errorf("cache holds %d entries, want 4", cache.Len())
+	if cache.Len() != 3 {
+		t.Errorf("cache holds %d entries, want 3", cache.Len())
 	}
 }

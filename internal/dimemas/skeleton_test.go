@@ -247,12 +247,13 @@ func TestReplayCacheSkeletonForSlice(t *testing.T) {
 	p := DefaultPlatform()
 	tr := randomValidTrace(12, 4, 3, p.EagerLimit)
 	cache := NewReplayCache()
+	m := FlatMachine(p)
 	opts := DefaultOptions()
 	subA, err := tr.Slice(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := cache.SkeletonForSlice(tr, 0, subA, p, opts)
+	a, err := cache.SkeletonForSlice(tr, 0, subA, m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestReplayCacheSkeletonForSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cache.SkeletonForSlice(tr, 0, subB, p, opts)
+	b, err := cache.SkeletonForSlice(tr, 0, subB, m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestReplayCacheSkeletonForSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cache.SkeletonForSlice(tr, 1, sub1, p, opts)
+	c, err := cache.SkeletonForSlice(tr, 1, sub1, m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestReplayCacheSkeletonForSlice(t *testing.T) {
 	mustEqualResults(t, "slice skeleton", got, want)
 	// Nil receivers degrade to an uncached build.
 	var nilCache *ReplayCache
-	if sk, err := nilCache.SkeletonForSlice(tr, 0, subA, p, opts); err != nil || sk == nil {
+	if sk, err := nilCache.SkeletonForSlice(tr, 0, subA, m, opts); err != nil || sk == nil {
 		t.Fatalf("nil cache SkeletonForSlice: %v, %v", sk, err)
 	}
 }
@@ -426,13 +427,12 @@ func TestReplayCacheSkeletonSharing(t *testing.T) {
 	if cache.Len() != 1 {
 		t.Errorf("cache holds %d entries, want 1", cache.Len())
 	}
-	// The skeleton entry shares the LRU with baseline replays but has its
-	// own key: a baseline lookup must not collide with it.
+	// A baseline lookup reads the same recording: no second entry.
 	if _, err := cache.Original(tr, p, opts); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Len() != 2 {
-		t.Errorf("cache holds %d entries, want 2 (skeleton + baseline)", cache.Len())
+	if cache.Len() != 1 {
+		t.Errorf("cache holds %d entries, want 1 (one recording)", cache.Len())
 	}
 	// Skeletons are shared across β: another β reads the same recording
 	// through a view, and shares the baseline too.
@@ -451,10 +451,10 @@ func TestReplayCacheSkeletonSharing(t *testing.T) {
 	if _, err := cache.Original(tr, p, other); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Len() != 2 {
-		t.Errorf("cache holds %d entries, want 2 (one skeleton, one baseline)", cache.Len())
+	if cache.Len() != 1 {
+		t.Errorf("cache holds %d entries, want 1 (one recording)", cache.Len())
 	}
-	// Replay with explicit frequencies retimes off the cached skeleton and
+	// ReplayMachine with explicit frequencies retimes off the cached skeleton and
 	// stays bit-identical to Simulate.
 	rng := rand.New(rand.NewSource(21))
 	freqs := randomGearVector(rng, 4)
@@ -464,18 +464,18 @@ func TestReplayCacheSkeletonSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cache.Replay(tr, p, simOpts)
+	got, err := cache.ReplayMachine(tr, FlatMachine(p), simOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustEqualResults(t, "cache.Replay", got, want)
+	mustEqualResults(t, "cache.ReplayMachine", got, want)
 	// Nil caches degrade to plain simulation for both entry points.
 	var nilCache *ReplayCache
-	res, err := nilCache.Replay(tr, p, simOpts)
+	res, err := nilCache.ReplayMachine(tr, FlatMachine(p), simOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustEqualResults(t, "nil cache.Replay", res, want)
+	mustEqualResults(t, "nil cache.ReplayMachine", res, want)
 	if sk, err := nilCache.SkeletonFor(tr, p, opts); err != nil || sk == nil {
 		t.Fatalf("nil cache SkeletonFor: %v, %v", sk, err)
 	}
@@ -501,8 +501,8 @@ func TestReplayCacheDoesNotMemoizeCancellation(t *testing.T) {
 	if err != nil || res == nil {
 		t.Fatalf("post-cancellation replay: %v, %v", res, err)
 	}
-	if cache.Len() != 2 { // the baseline and the skeleton it was retimed from
-		t.Errorf("cache holds %d entries, want 2", cache.Len())
+	if cache.Len() != 1 { // the recording, holding the baseline
+		t.Errorf("cache holds %d entries, want 1", cache.Len())
 	}
 	// Same for skeletons, on a trace whose skeleton no baseline recorded.
 	other := randomValidTrace(10, 4, 2, p.EagerLimit)
@@ -510,7 +510,7 @@ func TestReplayCacheDoesNotMemoizeCancellation(t *testing.T) {
 	if _, err := cache.SkeletonFor(other, p, opts); !memo.IsCtxErr(err) {
 		t.Fatalf("cancelled skeleton build returned %v, want a context error", err)
 	}
-	if cache.Len() != 2 {
+	if cache.Len() != 1 {
 		t.Fatalf("cancelled skeleton build was memoized (%d entries)", cache.Len())
 	}
 	opts.Ctx = nil

@@ -57,16 +57,16 @@ func TestCachedBaselineByteIdentical(t *testing.T) {
 			t.Errorf("%s: cached result differs from uncached", app)
 		}
 	}
-	// One baseline plus one timing skeleton per (trace, FMax, platform):
-	// twelve apps, two keys each.
-	if cache.Len() != 2*len(AppNames()) {
-		t.Errorf("cache holds %d entries, want %d (baseline + skeleton per app)", cache.Len(), 2*len(AppNames()))
+	// One recording (skeleton and baselines) per (trace, FMax, platform):
+	// twelve apps, one key each.
+	if cache.Len() != len(AppNames()) {
+		t.Errorf("cache holds %d entries, want %d (one recording per app)", cache.Len(), len(AppNames()))
 	}
 }
 
 // TestSuiteSharesBaselinesAcrossVariants verifies the economic point of the
-// cache: a multi-variant sweep memoizes exactly one baseline and one timing
-// skeleton per app, no matter how many variants retime it.
+// cache: a multi-variant sweep memoizes exactly one recording per app, no
+// matter how many variants retime it.
 func TestSuiteSharesBaselinesAcrossVariants(t *testing.T) {
 	s := QuickSuite()
 	s.cache = sharedSuite.cache // reuse generated traces
@@ -74,14 +74,14 @@ func TestSuiteSharesBaselinesAcrossVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.replays.Len(), 2*len(sw.Apps); got != want {
-		t.Errorf("sweep memoized %d entries for %d apps × %d variants, want %d (baseline + skeleton per app)",
+	if got, want := s.replays.Len(), len(sw.Apps); got != want {
+		t.Errorf("sweep memoized %d entries for %d apps × %d variants, want %d (one recording per app)",
 			got, len(sw.Apps), len(sw.Cols), want)
 	}
 }
 
 // TestFigure5SharesSkeletonsAcrossBeta verifies that the β sweep records
-// each app once: one skeleton and one baseline per app serve all eight β.
+// each app once: one recording per app serves all eight β.
 func TestFigure5SharesSkeletonsAcrossBeta(t *testing.T) {
 	s := QuickSuite()
 	s.cache = sharedSuite.cache // reuse generated traces
@@ -89,8 +89,8 @@ func TestFigure5SharesSkeletonsAcrossBeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.replays.Len(), 2*len(sw.Apps); got != want {
-		t.Errorf("β sweep memoized %d entries for %d apps × %d β, want %d (one skeleton and one baseline per app)",
+	if got, want := s.replays.Len(), len(sw.Apps); got != want {
+		t.Errorf("β sweep memoized %d entries for %d apps × %d β, want %d (one recording per app)",
 			got, len(sw.Apps), len(sw.Cols), want)
 	}
 }

@@ -102,9 +102,9 @@ func TestSearchEnergyEqualsFullReplayWithSharedCache(t *testing.T) {
 	if res.SearchEnergy != res.Energy {
 		t.Errorf("cached: SearchEnergy %v != Energy %v", res.SearchEnergy, res.Energy)
 	}
-	// One baseline and one skeleton per trace.
-	if got, want := cache.Len(), 2*len(trs); got != want {
-		t.Errorf("cache holds %d entries, want %d (baseline + skeleton per trace)", got, want)
+	// One recording (skeleton and baseline) per trace.
+	if got, want := cache.Len(), len(trs); got != want {
+		t.Errorf("cache holds %d entries, want %d (one recording per trace)", got, want)
 	}
 	// The same search without a cache must land on the identical result:
 	// retiming is bit-identical whether or not the skeleton is shared.

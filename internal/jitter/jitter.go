@@ -138,7 +138,7 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		sk, err := cfg.Cache.SkeletonForSlice(cfg.Trace, it, sub, machine.Base, opts)
+		sk, err := cfg.Cache.SkeletonForSlice(cfg.Trace, it, sub, machine, opts)
 		if err != nil {
 			return nil, fmt.Errorf("jitter: iteration %d skeleton: %w", it, err)
 		}

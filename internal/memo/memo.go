@@ -1,8 +1,9 @@
 // Package memo is the one single-flight memo behind the pipeline's shared
-// caches: dimemas.ReplayCache (baseline replays and timing skeletons) and
-// pwrsimd's generated-workload memo. A Cache computes each key once, hands
-// the result to every concurrent caller, and keeps at most a bounded number
-// of entries in least-recently-used order.
+// caches: dimemas.ReplayCache (one recording per trace and machine: a
+// timing skeleton and its baselines) and pwrsimd's generated-workload memo.
+// A Cache computes each key once, hands the result to every concurrent
+// caller, and keeps at most a bounded number of entries in
+// least-recently-used order.
 //
 // Two error classes are never memoized, or the cache would serve one dead
 // request's failure to every later caller:

@@ -191,9 +191,10 @@ func TestPeakCapSweepRespectsCapOnEveryRow(t *testing.T) {
 			t.Errorf("cap %.0f%%: redistribution loses the energy tiebreak: %v vs %v", frac*100, res.Redistributed.Energy, res.Uniform.Energy)
 		}
 	}
-	// The whole sweep shares one skeleton and one timeline baseline.
-	if st := cache.Stats(); st.Misses != 2 {
-		t.Errorf("cache misses = %d, want 2 (skeleton + timeline baseline) across the sweep", st.Misses)
+	// The whole sweep shares one recording: the skeleton and its timeline
+	// baseline.
+	if st := cache.Stats(); st.Misses != 1 {
+		t.Errorf("cache misses = %d, want 1 (one recording) across the sweep", st.Misses)
 	}
 }
 

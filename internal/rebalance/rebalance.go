@@ -444,7 +444,7 @@ type skeletonReplayer struct {
 }
 
 func newSkeletonReplayer(cfg *Config, base *trace.Trace, machine dimemas.Machine, opts dimemas.Options) (replayer, error) {
-	skel, err := cfg.Cache.SkeletonForSliceMachine(cfg.Trace, 0, base, machine, opts)
+	skel, err := cfg.Cache.SkeletonForSlice(cfg.Trace, 0, base, machine, opts)
 	if err != nil {
 		return nil, fmt.Errorf("rebalance: base-iteration skeleton: %w", err)
 	}

@@ -37,21 +37,23 @@ i 1
 // of them fail, which is fine — the soak asserts envelope shape and
 // lifecycle invariants, not success rates.
 func chaosBody(worker, i int) (route string, body any) {
-	// Vary beta across a small set so the soak keeps creating fresh cache
-	// fills (distinct keys) instead of settling into all-hits after the
-	// first round — the cache-fill fault point only fires on fills.
-	beta := 0.30 + 0.01*float64((worker*101+i)%40)
+	// Vary the latency override across a small set so the soak keeps
+	// creating fresh cache fills (distinct keys: the platform is part of
+	// the key, β is not) instead of settling into all-hits after the first
+	// round — the cache-fill fault point only fires on fills.
+	latency := 7e-6 + 1e-7*float64((worker*101+i)%40)
+	platform := &PlatformSpec{Latency: &latency}
 	switch i % 6 {
 	case 0: // memoized baseline replay → cache-fill point
-		return "/v1/replay", ReplayRequest{Trace: testSpec, GearSpec: GearSpec{Beta: &beta}}
+		return "/v1/replay", ReplayRequest{Trace: testSpec, Platform: platform}
 	case 1: // skeleton retiming → skeleton-build + retime points
 		freqs := make([]float64, 32)
 		for j := range freqs {
 			freqs[j] = 1.4 + 0.1*float64(j%6)
 		}
-		return "/v1/replay", ReplayRequest{Trace: testSpec, Freqs: freqs, GearSpec: GearSpec{Beta: &beta}}
+		return "/v1/replay", ReplayRequest{Trace: testSpec, Freqs: freqs, Platform: platform}
 	case 2: // full analysis → cache-fill + skeleton-build + retime points
-		return "/v1/analyze", AnalyzeRequest{Trace: testSpec, GearSpec: GearSpec{Beta: &beta}}
+		return "/v1/analyze", AnalyzeRequest{Trace: testSpec, Platform: platform}
 	case 3: // batched analysis → retime point through the RetimeBatch walk
 		return "/v1/analyze/batch", AnalyzeBatchRequest{
 			Trace: testSpec,
@@ -59,14 +61,14 @@ func chaosBody(worker, i int) (route string, body any) {
 				{Algorithm: "MAX", GearSet: GearSetSpec{Kind: "uniform"}},
 				{Algorithm: "AVG", GearSet: GearSetSpec{Kind: "exponential"}},
 			},
-			GearSpec: GearSpec{Beta: &beta},
+			Platform: platform,
 		}
 	case 4: // power-cap search → retime point through the RetimeDelta path
 		return "/v1/powercap", PowercapRequest{
 			Trace:    testSpec,
 			GearSet:  GearSetSpec{Kind: "uniform"},
 			Cap:      0.6 * 32 * 9.703125,
-			GearSpec: GearSpec{Beta: &beta},
+			Platform: platform,
 		}
 	default: // inline text → trace-parse point (uncached Simulate)
 		return "/v1/replay", ReplayRequest{Trace: TraceRef{Text: chaosInlineTrace}}
@@ -179,6 +181,7 @@ func TestChaosSoak(t *testing.T) {
 	// Fault coverage: ≥200 faults across all five points.
 	total := uint64(0)
 	for p, st := range reg.Stats() {
+		t.Logf("fault point %s: %d checks, %d fired", p, st.Checks, st.Fired)
 		if st.Fired == 0 {
 			t.Errorf("fault point %s never fired (checks: %d)", p, st.Checks)
 		}

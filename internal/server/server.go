@@ -54,8 +54,9 @@ type Config struct {
 	// RequestTimeout aborts a simulation request with 504 after this long.
 	// Default 60s.
 	RequestTimeout time.Duration
-	// CacheEntries bounds the shared replay cache (LRU). Default 512;
-	// negative means unbounded.
+	// CacheEntries bounds the shared replay cache (LRU) in recordings: one
+	// per trace × machine × FMax, each a timing skeleton with up to two
+	// baselines. Default 512; negative means unbounded.
 	CacheEntries int
 	// TraceCacheEntries bounds the generated-workload cache (LRU). Default
 	// 32; negative means unbounded.

@@ -332,8 +332,8 @@ func TestSharedCacheAcrossRequests(t *testing.T) {
 		t.Fatalf("replay status %d", code)
 	}
 	st := s.Cache().Stats()
-	if st.Misses != 2 {
-		t.Fatalf("cache misses = %d, want 2 (one baseline replay + one timing skeleton for all requests)", st.Misses)
+	if st.Misses != 1 {
+		t.Fatalf("cache misses = %d, want 1 (one recording for all requests)", st.Misses)
 	}
 	if st.Hits < 3 {
 		t.Fatalf("cache hits = %d, want ≥ 3", st.Hits)
@@ -501,12 +501,12 @@ func TestHealthzAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		"pwrsimd_uptime_seconds",
 		"pwrsimd_in_flight 0",
-		// The first replay misses twice: its baseline is retimed from a
-		// skeleton, memoized beside it. The second hits the baseline.
+		// The first replay misses once: its baseline is retimed from the
+		// skeleton and stored in the same recording. The second hits it.
 		"pwrsimd_cache_hits_total 1",
-		"pwrsimd_cache_misses_total 2",
+		"pwrsimd_cache_misses_total 1",
 		"pwrsimd_cache_evictions_total 0",
-		"pwrsimd_cache_entries 2",
+		"pwrsimd_cache_entries 1",
 		`pwrsimd_requests_total{route="/v1/replay"} 2`,
 		`pwrsimd_request_errors_total{route="/v1/replay"} 0`,
 		`pwrsimd_request_seconds_sum{route="/v1/replay"}`,
@@ -592,9 +592,9 @@ func TestAnalyzeBatchByteIdenticalToLibrary(t *testing.T) {
 	if wantBytes := wire(t, want); !bytes.Equal(got, wantBytes) {
 		t.Fatalf("batch response differs from library calls\n got: %s\nwant: %s", got, wantBytes)
 	}
-	// The whole batch shares one baseline replay and one timing skeleton.
-	if st := s.Cache().Stats(); st.Misses != 2 {
-		t.Errorf("cache misses = %d, want 2 (baseline + skeleton for the whole batch)", st.Misses)
+	// The whole batch shares one recording: the skeleton and its baseline.
+	if st := s.Cache().Stats(); st.Misses != 1 {
+		t.Errorf("cache misses = %d, want 1 (one recording for the whole batch)", st.Misses)
 	}
 }
 
