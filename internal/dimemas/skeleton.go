@@ -100,9 +100,6 @@ func (s *Skeleton) withBeta(beta float64) *Skeleton {
 // NumRanks returns the rank count of the skeleton's trace.
 func (s *Skeleton) NumRanks() int { return s.nranks }
 
-// NumOps returns the schedule length (for diagnostics and benchmarks).
-func (s *Skeleton) NumOps() int { return len(s.ops) }
-
 // BuildSkeleton records the trace's retirement schedule by running the
 // replay engine once with every rank at FMax and appending an op at every
 // retirement point. opts supplies FMax, the β the skeleton retimes at (the
@@ -125,7 +122,11 @@ func BuildSkeleton(t *trace.Trace, p Platform, opts Options) (*Skeleton, error) 
 // heterogeneous machine with unchanged arithmetic; Retime on a machine
 // skeleton is bit-identical to SimulateMachine with the same inputs. An
 // explicit RetimeScaled scale composes multiplicatively on top (drift over
-// capability). A flat machine records a skeleton bit-identical to
+// capability) and rounds (d·(1/e))·scale: the stretch first, the drift
+// second. SimulateMachine on a ScaleCompute'd trace rounds (d·scale)·(1/e)
+// instead, so the fresh equivalent of a scaled retime is the trace
+// pre-stretched by m.ScaleVector(), then scaled, simulated on m without its
+// Efficiency layer. A flat machine records a skeleton bit-identical to
 // BuildSkeleton(t, m.Base, opts).
 func BuildSkeletonMachine(t *trace.Trace, m Machine, opts Options) (*Skeleton, error) {
 	return buildSkeleton(t, &m, opts)
@@ -229,10 +230,15 @@ func (s *Skeleton) RetimeInto(res *Result, freqs []float64) error {
 //	         platform, Options{Beta, FMax, Freqs: freqs, ...})
 //
 // at a fraction of the cost (no trace copy, no re-validation, no fresh
-// replay). scale may be nil (no scaling); entries must be finite and
-// non-negative. This is what lets the online rebalancing controller
-// (internal/rebalance) simulate N drifting iterations off a single
-// skeleton. Safe for concurrent use.
+// replay). On a skeleton recorded on a machine with an Efficiency layer the
+// recorded durations already carry the stretch, so a burst of duration d
+// runs for (d·(1/e))·scale·slowdown: the same bits as Simulate on the
+// machine without its Efficiency layer, over the trace pre-stretched by
+// Machine.ScaleVector and then scaled. scale may be nil (no scaling);
+// entries must be finite and non-negative. This is what lets the online
+// rebalancing controller (internal/rebalance) simulate N drifting
+// iterations, and re-solve them, off a single skeleton. Safe for
+// concurrent use.
 func (s *Skeleton) RetimeScaled(freqs, scale []float64, recordTimeline bool) (*Result, error) {
 	if err := s.checkVectors(freqs, scale); err != nil {
 		return nil, err
@@ -256,6 +262,18 @@ func (s *Skeleton) RetimeScaledInto(res *Result, freqs, scale []float64) error {
 // freqs and scale must be nil or one valid entry per rank. It is also the
 // retime stage's fault point.
 func (s *Skeleton) checkVectors(freqs, scale []float64) error {
+	if err := s.checkInputs(freqs, scale); err != nil {
+		return err
+	}
+	if err := faults.Check(faults.Retime); err != nil {
+		return stagerr.Wrap(stagerr.Retime, err)
+	}
+	return nil
+}
+
+// checkInputs is checkVectors without the fault point: the validate-stage
+// check of freqs and of the load scales.
+func (s *Skeleton) checkInputs(freqs, scale []float64) error {
 	n := s.nranks
 	if err := checkFreqs(freqs, n); err != nil {
 		return stagerr.Errorf(stagerr.Validate, "dimemas: %v", err)
@@ -269,9 +287,6 @@ func (s *Skeleton) checkVectors(freqs, scale []float64) error {
 				return stagerr.Errorf(stagerr.Validate, "dimemas: rank %d has invalid load scale %v", r, m)
 			}
 		}
-	}
-	if err := faults.Check(faults.Retime); err != nil {
-		return stagerr.Wrap(stagerr.Retime, err)
 	}
 	return nil
 }

@@ -34,7 +34,9 @@ package dimemas
 //     rank therefore lengthens every term, and op i's term is d itself.
 //     Where the compiler fuses the walk's multiply into its add, a compute
 //     term enters as the exact product, which the rounded d exceeds by at
-//     most a factor 1 + u.
+//     most a factor 1 + u. A load scale only changes which fixed
+//     non-negative duration (f1·scale, rounded once) multiplies the
+//     slowdown, so every step holds for a scaled walk unchanged.
 //   - P, op i and the path out of op i form one path of the probe's walk,
 //     whose float sum is at least (1 − u)^{2L}·(H + d + S)/(1 + u).
 //
@@ -48,14 +50,11 @@ package dimemas
 // table stays valid for every probe that only lowers frequencies further,
 // as long as the bound compared against is the base time.
 
-import (
-	"repro/internal/stagerr"
-	"repro/internal/timemodel"
-)
+import "repro/internal/timemodel"
 
-// SlackTable is the head/tail table of one frequency vector's retime pass
-// (see Skeleton.Slack). It is immutable and safe for concurrent use. A nil
-// table certifies nothing.
+// SlackTable is the head/tail table of one (frequency vector, load scale)
+// retime pass (see Skeleton.Slack). It is immutable and safe for
+// concurrent use. A nil table certifies nothing.
 type SlackTable struct {
 	skel  *Skeleton
 	limit float64 // the base vector's execution time × (1 + 4γ_{2L+8})
@@ -67,15 +66,17 @@ type SlackTable struct {
 // schedule order.
 type slackEntry struct {
 	head, tail float64
-	f1         float64 // duration at fmax (capability stretch included)
+	f1         float64 // duration at fmax (capability stretch and scale included)
 	beta       int32   // index into Skeleton.betas; -1 for the default β
 }
 
 // Slack builds the head/tail table of freqs (nil means every rank at FMax)
-// with one forward and one backward pass over the schedule.
-func (s *Skeleton) Slack(freqs []float64) (*SlackTable, error) {
-	if err := checkFreqs(freqs, s.nranks); err != nil {
-		return nil, stagerr.Errorf(stagerr.Validate, "dimemas: %v", err)
+// under per-rank load scales (nil means none, as in RetimeScaled) with one
+// forward and one backward pass over the schedule. The table certifies
+// probes of RetimeScaled and RetimeDelta under the same scale.
+func (s *Skeleton) Slack(freqs, scale []float64) (*SlackTable, error) {
+	if err := s.checkInputs(freqs, scale); err != nil {
+		return nil, err
 	}
 	n := s.nranks
 	t := &SlackTable{skel: s, start: make([]int32, n+1)}
@@ -101,11 +102,14 @@ func (s *Skeleton) Slack(freqs []float64) (*SlackTable, error) {
 			e := &t.ent[pos[op.rank]]
 			pos[op.rank]++
 			e.head, e.f1, e.beta = c.clock[op.rank], op.f1, -1
+			if scale != nil {
+				e.f1 = float64(op.f1 * scale[op.rank]) // walk's rounding
+			}
 			if op.kind == opComputeBeta {
 				e.beta = op.arg
 			}
 		}
-		s.walk(c, nil, s.ops[i:i+1])
+		s.walk(c, scale, s.ops[i:i+1])
 	}
 	var time float64 // the base vector's Time, as kernel computes it
 	for _, v := range c.clock {

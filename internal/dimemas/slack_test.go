@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/stagerr"
 )
 
 // slackFreqs is an ascending gear ladder topped by the tests' FMax.
@@ -13,18 +15,19 @@ var slackFreqs = []float64{0.8, 1.1, 1.4, 1.7, 2.0, 2.3}
 // checkSlackTable holds one table against the retime passes it claims to
 // predict: every certified downshift — alone, and together with random
 // further downshifts elsewhere — retimes strictly slower than the base
-// vector. It returns how many downshifts were certified.
-func checkSlackTable(t *testing.T, label string, sk *Skeleton, base []int, rng *rand.Rand) int {
+// vector under the same load scale. It returns how many downshifts were
+// certified.
+func checkSlackTable(t *testing.T, label string, sk *Skeleton, base []int, scale []float64, rng *rand.Rand) int {
 	t.Helper()
 	freqs := make([]float64, len(base))
 	for r, gi := range base {
 		freqs[r] = slackFreqs[gi]
 	}
-	tab, err := sk.Slack(freqs)
+	tab, err := sk.Slack(freqs, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := sk.Retime(freqs, false)
+	ref, err := sk.RetimeScaled(freqs, scale, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +42,7 @@ func checkSlackTable(t *testing.T, label string, sk *Skeleton, base []int, rng *
 			copy(probe, freqs)
 			probe[r] = slackFreqs[gi]
 			for pass := 0; pass < 2; pass++ {
-				res, err := sk.Retime(probe, false)
+				res, err := sk.RetimeScaled(probe, scale, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,6 +70,7 @@ func TestSlackCertifiesOnlySlowerProbes(t *testing.T) {
 			for pi, p := range equivPlatforms() {
 				tr := randomValidTrace(seed*100+int64(n), n, 3, p.EagerLimit)
 				rng := rand.New(rand.NewSource(seed*31 + int64(n)))
+				scaleRng := rand.New(rand.NewSource(seed*37 + int64(n)))
 				machines := []Machine{FlatMachine(p), {Base: p, Topo: randomTopology(rng, n), Cap: randomCapability(rng, n)}}
 				for mi, m := range machines {
 					for _, beta := range []float64{0, 0.5, 1} {
@@ -76,13 +80,20 @@ func TestSlackCertifiesOnlySlowerProbes(t *testing.T) {
 						}
 						top := make([]int, n)
 						random := make([]int, n)
+						scale := make([]float64, n)
 						for r := range top {
 							top[r] = len(slackFreqs) - 1
 							random[r] = rng.Intn(len(slackFreqs))
+							scale[r] = 0.5 + scaleRng.Float64()
+						}
+						if n > 2 {
+							scale[scaleRng.Intn(n)] = 0 // an idle rank
 						}
 						for vi, base := range [][]int{top, random} {
-							label := fmt.Sprintf("seed=%d n=%d platform=%d machine=%d beta=%v base=%d", seed, n, pi, mi, beta, vi)
-							certified += checkSlackTable(t, label, sk, base, rng)
+							for _, sc := range [][]float64{nil, scale} {
+								label := fmt.Sprintf("seed=%d n=%d platform=%d machine=%d beta=%v base=%d scaled=%t", seed, n, pi, mi, beta, vi, sc != nil)
+								certified += checkSlackTable(t, label, sk, base, sc, rng)
+							}
 						}
 					}
 				}
@@ -105,8 +116,14 @@ func TestSlackNilTableAndBadFreqs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, freqs := range [][]float64{{1, 1}, {1, 1, 0, 1}, {1, math.NaN(), 1, 1}} {
-		if _, err := sk.Slack(freqs); err == nil {
+		if _, err := sk.Slack(freqs, nil); err == nil {
 			t.Errorf("Slack(%v) accepted an invalid vector", freqs)
+		}
+	}
+	for _, scale := range [][]float64{{1, 1}, {1, 1, -1, 1}, {1, math.NaN(), 1, 1}, {1, 1, 1, math.Inf(1)}} {
+		_, err := sk.Slack(nil, scale)
+		if stage, ok := stagerr.StageOf(err); !ok || stage != stagerr.Validate {
+			t.Errorf("Slack(nil, %v) = %v, want a %q-stage error", scale, err, stagerr.Validate)
 		}
 	}
 }

@@ -27,6 +27,12 @@
 // out slower, first asks the head/tail slack table of its entry vector
 // (dimemas.Skeleton.Slack), which proves most of them slower without a
 // retime; those probes are rejected exactly as a replay would reject them.
+//
+// Run schedules a trace and reports both policies with their profiles.
+// Reschedule is the same scheduler on a skeleton the caller already holds,
+// under per-rank load scales: an online controller re-solves a drifted
+// iteration with skeleton walks alone, and gets back only the
+// redistributed gears.
 package powercap
 
 import (
@@ -100,7 +106,8 @@ func (p Policy) String() string {
 
 // Config parameterizes one power-cap scheduling run.
 type Config struct {
-	// Trace is the application trace.
+	// Trace is the application trace Run schedules (Reschedule reads its
+	// skeleton argument instead).
 	Trace *trace.Trace
 	// Platform models the interconnect; zero value means DefaultPlatform.
 	Platform dimemas.Platform
@@ -133,7 +140,7 @@ type Config struct {
 	// Cache optionally memoizes the baseline replay and the timing
 	// skeleton, sharing them with every other pipeline — and across the
 	// rows of a cap sweep, which then pays for the skeleton exactly once.
-	// Nil builds an uncached skeleton for this run.
+	// Nil builds an uncached skeleton for this run. Reschedule ignores it.
 	Cache *dimemas.ReplayCache
 	// Ctx optionally bounds the run; it is polled between candidate
 	// evaluations and threaded into the replays.
@@ -209,9 +216,6 @@ var (
 )
 
 func (c *Config) normalize() error {
-	if c.Trace == nil {
-		return ErrNilTrace
-	}
 	if c.Set == nil {
 		return ErrNilSet
 	}
@@ -234,6 +238,8 @@ func (c *Config) normalize() error {
 // per-gear constants, and the reusable evaluation buffers.
 type scheduler struct {
 	cfg      *Config
+	opts     dimemas.Options // resolved β and FMax, with the run's Ctx
+	machine  dimemas.Machine
 	rep      replayer
 	pm       *power.Model
 	gears    []dvfs.Gear     // ascending
@@ -270,6 +276,41 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// Reschedule runs Run's scheduler on skel, a timing skeleton recorded for
+// cfg's platform, machine, β and FMax, with every rank's computation
+// scaled by scale[rank] (nil: none), and returns the redistributed gears
+// (the uniform ones where those dominate). On a flat machine they are
+// Run's Redistributed.Gears for the skeleton's trace scaled by
+// trace.ScaleCompute; on a machine with an Efficiency layer the equivalent
+// trace is the one dimemas.BuildSkeletonMachine describes. It builds no
+// timeline, profile or Result, and reads neither cfg.Trace nor cfg.Cache.
+// Errors are stage-tagged as Run's are.
+func Reschedule(cfg Config, skel *dimemas.Skeleton, scale []float64) ([]dvfs.Gear, error) {
+	gears, err := reschedule(&cfg, skel, scale)
+	if err != nil {
+		return nil, stagerr.Wrap(stagerr.Powercap, err)
+	}
+	return gears, nil
+}
+
+func reschedule(cfg *Config, skel *dimemas.Skeleton, scale []float64) ([]dvfs.Gear, error) {
+	s, err := newScheduler(cfg, skel.NumRanks())
+	if err != nil {
+		return nil, err
+	}
+	s.rep = &skeletonReplayer{skel: skel, scale: scale}
+	base, err := skel.RetimeScaled(nil, scale, false)
+	if err != nil {
+		return nil, err
+	}
+	s.baseComp = base.Compute
+	_, red, err := s.schedule()
+	if err != nil {
+		return nil, err
+	}
+	return s.gearsOf(red), nil
+}
+
 // replayer scores the gear vectors of one run. The production replayer
 // retimes the trace's timing skeleton; the tests inject one that replays the
 // trace afresh (RunFresh), which must agree bit for bit.
@@ -286,9 +327,10 @@ type replayer interface {
 
 // skeletonReplayer answers each probe with one full retime pass, unless the
 // probe repeats one of the last two vectors scored (the delta memo answers
-// those).
+// those). Every pass runs under the per-rank load scales (nil for Run).
 type skeletonReplayer struct {
 	skel  *dimemas.Skeleton
+	scale []float64
 	delta dimemas.DeltaState
 }
 
@@ -301,61 +343,115 @@ func newSkeletonReplayer(cfg *Config, machine dimemas.Machine, opts dimemas.Opti
 }
 
 func (r *skeletonReplayer) probe(freqs []float64) (*dimemas.Result, error) {
-	return r.skel.RetimeDelta(&r.delta, freqs, nil)
+	return r.skel.RetimeDelta(&r.delta, freqs, r.scale)
 }
 
 func (r *skeletonReplayer) timeline(freqs []float64) (*dimemas.Result, error) {
-	return r.skel.Retime(freqs, true)
+	return r.skel.RetimeScaled(freqs, r.scale, true)
 }
 
 func (r *skeletonReplayer) slack(freqs []float64) (*dimemas.SlackTable, error) {
-	return r.skel.Slack(freqs)
+	return r.skel.Slack(freqs, r.scale)
 }
 
 // run is Run over an injected replayer; it also reports how slack
 // reclamation's probes resolved.
 func run(cfg Config, newReplayer func(*Config, dimemas.Machine, dimemas.Options) (replayer, error)) (*Result, reclaimStats, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, reclaimStats{}, stagerr.Wrap(stagerr.Validate, err)
+	if cfg.Trace == nil {
+		return nil, reclaimStats{}, stagerr.Wrap(stagerr.Validate, ErrNilTrace)
 	}
-	opts, err := dimemas.ModelOptions(cfg.Beta, cfg.FMax)
+	s, err := newScheduler(&cfg, cfg.Trace.NumRanks())
 	if err != nil {
 		return nil, reclaimStats{}, err
 	}
-	opts.Ctx = cfg.Ctx
-	pm, err := power.New(cfg.Power)
-	if err != nil {
-		return nil, reclaimStats{}, err
-	}
-	machine, err := dimemas.ResolveMachine(cfg.Platform, cfg.Machine, cfg.Trace.NumRanks())
-	if err != nil {
-		return nil, reclaimStats{}, err
-	}
-
-	rep, err := newReplayer(&cfg, machine, opts)
-	if err != nil {
+	if s.rep, err = newReplayer(&cfg, s.machine, s.opts); err != nil {
 		return nil, reclaimStats{}, err
 	}
 	// The timeline baseline doubles as the uncapped reference and the
 	// slack-ordering source; through a cache it is shared across every row
 	// of a cap sweep.
-	tlOpts := opts
+	tlOpts := s.opts
 	tlOpts.RecordTimeline = true
-	base, err := cfg.Cache.OriginalMachine(cfg.Trace, machine, tlOpts)
+	base, err := cfg.Cache.OriginalMachine(cfg.Trace, s.machine, tlOpts)
 	if err != nil {
 		return nil, reclaimStats{}, fmt.Errorf("powercap: baseline replay: %w", err)
 	}
+	s.baseComp = base.Compute
 
-	n := len(base.Compute)
+	// Uncapped reference: every rank at the nominal FMax gear.
+	nominal := dvfs.GearAt(s.opts.FMax)
+	nomGears := make([]dvfs.Gear, len(base.Compute))
+	for r := range nomGears {
+		nomGears[r] = nominal
+	}
+	baseEnergy, err := s.energyOf(nomGears, base)
+	if err != nil {
+		return nil, reclaimStats{}, err
+	}
+	baseProfile, err := power.BuildProfileScaled(s.pm, base.Timeline, nomGears, s.pscale, base.Time)
+	if err != nil {
+		return nil, reclaimStats{}, fmt.Errorf("powercap: baseline profile: %w", err)
+	}
+	ref := RefStats{
+		Time:         base.Time,
+		Energy:       baseEnergy,
+		PeakPower:    baseProfile.Peak(),
+		AveragePower: baseEnergy / base.Time,
+	}
+
+	uniIdx, redIdx, err := s.schedule()
+	if err != nil {
+		return nil, reclaimStats{}, err
+	}
+	uniform, err := s.finish(PolicyUniform, uniIdx, ref)
+	if err != nil {
+		return nil, reclaimStats{}, err
+	}
+	redistributed, err := s.finish(PolicyRedistribute, redIdx, ref)
+	if err != nil {
+		return nil, reclaimStats{}, err
+	}
+	return &Result{
+		App:           cfg.Trace.App,
+		Cap:           cfg.Cap,
+		Kind:          cfg.Kind,
+		Uncapped:      ref,
+		Uniform:       *uniform,
+		Redistributed: *redistributed,
+		Evaluations:   s.evals,
+	}, s.reclaim, nil
+}
+
+// newScheduler validates cfg and builds the scheduler of an n-rank run:
+// model options, power model, resolved machine and the per-gear and
+// per-rank tables. The caller sets rep and baseComp.
+func newScheduler(cfg *Config, n int) (*scheduler, error) {
+	if err := cfg.normalize(); err != nil {
+		return nil, stagerr.Wrap(stagerr.Validate, err)
+	}
+	opts, err := dimemas.ModelOptions(cfg.Beta, cfg.FMax)
+	if err != nil {
+		return nil, err
+	}
+	opts.Ctx = cfg.Ctx
+	pm, err := power.New(cfg.Power)
+	if err != nil {
+		return nil, err
+	}
+	machine, err := dimemas.ResolveMachine(cfg.Platform, cfg.Machine, n)
+	if err != nil {
+		return nil, err
+	}
+
 	gears := cfg.Set.Gears()
 	s := &scheduler{
-		cfg:      &cfg,
-		rep:      rep,
+		cfg:      cfg,
+		opts:     opts,
+		machine:  machine,
 		pm:       pm,
 		gears:    gears,
 		pComp:    make([]float64, len(gears)),
 		sd:       make([]float64, len(gears)),
-		baseComp: base.Compute,
 		freqs:    make([]float64, n),
 		usage:    make([]power.Usage, n),
 		maxMoves: cfg.MaxMoves,
@@ -365,7 +461,7 @@ func run(cfg Config, newReplayer func(*Config, dimemas.Machine, dimemas.Options)
 	}
 	for gi, g := range gears {
 		if g.Freq <= 0 || g.Volt <= 0 {
-			return nil, reclaimStats{}, fmt.Errorf("powercap: invalid gear %v in set %s", g, cfg.Set.Name())
+			return nil, fmt.Errorf("powercap: invalid gear %v in set %s", g, cfg.Set.Name())
 		}
 		s.pComp[gi] = pm.Power(power.Compute, g)
 		s.sd[gi] = timemodel.Slowdown(opts.Beta, opts.FMax, g.Freq)
@@ -384,60 +480,26 @@ func run(cfg Config, newReplayer func(*Config, dimemas.Machine, dimemas.Options)
 			}
 		}
 	}
+	return s, nil
+}
 
-	// Uncapped reference: every rank at the nominal FMax gear.
-	nominal := dvfs.GearAt(opts.FMax)
-	nomGears := make([]dvfs.Gear, n)
-	for r := range nomGears {
-		nomGears[r] = nominal
-	}
-	baseEnergy, err := s.energyOf(nomGears, base)
+// schedule runs both policies over s.baseComp and returns their gear-index
+// vectors. The uniform assignment is also a valid redistribution outcome:
+// red falls back to it when the greedy lost on (time, energy), so
+// redistribution never reports a worse schedule than the baseline policy.
+func (s *scheduler) schedule() (uni, red []int, err error) {
+	uni, uniTime, uniEnergy, err := s.uniform()
 	if err != nil {
-		return nil, reclaimStats{}, err
+		return nil, nil, err
 	}
-	baseProfile, err := power.BuildProfileScaled(pm, base.Timeline, nomGears, s.pscale, base.Time)
+	red, redTime, redEnergy, err := s.redistribute()
 	if err != nil {
-		return nil, reclaimStats{}, fmt.Errorf("powercap: baseline profile: %w", err)
+		return nil, nil, err
 	}
-	ref := RefStats{
-		Time:         base.Time,
-		Energy:       baseEnergy,
-		PeakPower:    baseProfile.Peak(),
-		AveragePower: baseEnergy / base.Time,
-	}
-
-	uniIdx, uniTime, uniEnergy, err := s.uniform()
-	if err != nil {
-		return nil, reclaimStats{}, err
-	}
-	redIdx, redTime, redEnergy, err := s.redistribute()
-	if err != nil {
-		return nil, reclaimStats{}, err
-	}
-	// The uniform assignment is also a valid redistribution outcome: fall
-	// back to it when the greedy lost on (time, energy), so redistribution
-	// never reports a worse schedule than the baseline policy.
 	if uniTime < redTime || (uniTime == redTime && uniEnergy < redEnergy) {
-		copy(redIdx, uniIdx)
+		copy(red, uni)
 	}
-
-	uniform, err := s.finish(PolicyUniform, uniIdx, ref)
-	if err != nil {
-		return nil, reclaimStats{}, err
-	}
-	redistributed, err := s.finish(PolicyRedistribute, redIdx, ref)
-	if err != nil {
-		return nil, reclaimStats{}, err
-	}
-	return &Result{
-		App:           cfg.Trace.App,
-		Cap:           cfg.Cap,
-		Kind:          cfg.Kind,
-		Uncapped:      ref,
-		Uniform:       *uniform,
-		Redistributed: *redistributed,
-		Evaluations:   s.evals,
-	}, s.reclaim, nil
+	return uni, red, nil
 }
 
 // evaluate scores one gear-index vector exactly: the replay's execution
@@ -485,6 +547,15 @@ func (s *scheduler) freqsOf(idx []int) []float64 {
 		s.freqs[r] = s.gears[gi].Freq
 	}
 	return s.freqs
+}
+
+// gearsOf returns the gears of a gear-index vector in a new slice.
+func (s *scheduler) gearsOf(idx []int) []dvfs.Gear {
+	gears := make([]dvfs.Gear, len(idx))
+	for r, gi := range idx {
+		gears[r] = s.gears[gi]
+	}
+	return gears
 }
 
 // energyOf accounts the energy of an already replayed run at explicit gears.
@@ -792,13 +863,8 @@ func (s *scheduler) criticalRank(idx []int) int {
 // finish replays the chosen assignment once with timeline recording and
 // derives the schedule's exact profile-level statistics.
 func (s *scheduler) finish(policy Policy, idx []int, ref RefStats) (*Schedule, error) {
-	gears := make([]dvfs.Gear, len(idx))
-	freqs := make([]float64, len(idx))
-	for r, gi := range idx {
-		gears[r] = s.gears[gi]
-		freqs[r] = s.gears[gi].Freq
-	}
-	res, err := s.rep.timeline(freqs)
+	gears := s.gearsOf(idx)
+	res, err := s.rep.timeline(s.freqsOf(idx))
 	if err != nil {
 		return nil, fmt.Errorf("powercap: %s schedule replay: %w", policy, err)
 	}

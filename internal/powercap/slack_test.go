@@ -2,8 +2,10 @@ package powercap
 
 // The slack screen's differential oracle: on seeded random traces and
 // machines, (1) every downshift the slack table certifies slower really
-// retimes slower, and (2) Run, which screens, equals RunFresh, which never
-// does, bit for bit — evaluation count included.
+// retimes slower, under the case's load scale when it draws one, (2) Run,
+// which screens, equals RunFresh, which never does, bit for bit —
+// evaluation count included, and (3) Reschedule on the scaled skeleton
+// picks Run's redistributed gears for the trace the scale stands for.
 
 import (
 	"fmt"
@@ -68,8 +70,9 @@ func randomTrace(rng *rand.Rand, n, iters int, eagerLimit int64) *trace.Trace {
 }
 
 // randomCase draws one scheduling problem: trace, platform, machine
-// capability layer, β, gear set, cap kind and cap level.
-func randomCase(t *testing.T, seed int64) Config {
+// capability layer, β, gear set, cap kind and cap level, plus an optional
+// per-rank load scale (nil in half the cases) for the scaled checks.
+func randomCase(t *testing.T, seed int64) (Config, []float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := 2 * (1 + rng.Intn(4))
@@ -137,30 +140,27 @@ func randomCase(t *testing.T, seed int64) Config {
 		cfg.Kind = CapAverage
 	}
 	cfg.Cap = (0.3 + rng.Float64()*0.8) * peak
-	return cfg
+	// Drawn last, so every earlier draw matches the unscaled cases.
+	var scale []float64
+	if rng.Intn(2) == 0 {
+		scale = make([]float64, n)
+		for r := range scale {
+			scale[r] = 0.5 + rng.Float64()
+		}
+	}
+	return cfg, scale
 }
 
-// checkCertificates holds the slack table of cfg's skeleton against
-// Skeleton.Retime at two base vectors (every rank at its top gear, and a
-// random one): for every rank and every lower gear, a certified downshift
-// must retime strictly slower than the base, alone and with further
-// downshifts on other ranks. It returns the number certified.
-func checkCertificates(t *testing.T, seed int64, cfg Config) int {
+// checkCertificates holds the slack table of cfg's skeleton under scale
+// against Skeleton.RetimeScaled at two base vectors (every rank at its top
+// gear, and a random one): for every rank and every lower gear, a certified
+// downshift must retime strictly slower than the base, alone and with
+// further downshifts on other ranks. It returns the number certified.
+func checkCertificates(t *testing.T, seed int64, cfg Config, scale []float64) int {
 	t.Helper()
 	rng := rand.New(rand.NewSource(^seed))
 	n := cfg.Trace.NumRanks()
-	machine, err := dimemas.ResolveMachine(cfg.Platform, cfg.Machine, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts, err := dimemas.ModelOptions(cfg.Beta, cfg.FMax)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk, err := dimemas.BuildSkeletonMachine(cfg.Trace, machine, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sk, machine := caseSkeleton(t, cfg)
 	gears := cfg.Set.Gears()
 	top, random := make([]int, n), make([]int, n)
 	for r := range top {
@@ -173,11 +173,11 @@ func checkCertificates(t *testing.T, seed int64, cfg Config) int {
 		for r, gi := range base {
 			freqs[r] = gears[gi].Freq
 		}
-		tab, err := sk.Slack(freqs)
+		tab, err := sk.Slack(freqs, scale)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := sk.Retime(freqs, false)
+		ref, err := sk.RetimeScaled(freqs, scale, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func checkCertificates(t *testing.T, seed int64, cfg Config) int {
 				copy(probe, freqs)
 				probe[r] = gears[gi].Freq
 				for pass := 0; pass < 2; pass++ {
-					res, err := sk.Retime(probe, false)
+					res, err := sk.RetimeScaled(probe, scale, false)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -233,12 +233,73 @@ func checkRunMatchesFresh(t *testing.T, seed int64, cfg Config) (st ReclaimStats
 	return st, true
 }
 
+// caseSkeleton records cfg's timing skeleton on its resolved machine.
+func caseSkeleton(t *testing.T, cfg Config) (*dimemas.Skeleton, dimemas.Machine) {
+	t.Helper()
+	machine, err := dimemas.ResolveMachine(cfg.Platform, cfg.Machine, cfg.Trace.NumRanks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := dimemas.ModelOptions(cfg.Beta, cfg.FMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := dimemas.BuildSkeletonMachine(cfg.Trace, machine, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sk, machine
+}
+
+// scaledReference returns the Run config whose trace a scaled skeleton of
+// cfg on machine (cfg's resolved machine) stands for: cfg's trace
+// stretched by the machine's efficiency, then by scale, on the machine
+// without its Efficiency layer. The stretch comes
+// first because a machine skeleton records it into every duration before a
+// retime scale applies (dimemas.BuildSkeletonMachine).
+func scaledReference(cfg Config, machine dimemas.Machine, scale []float64) Config {
+	tr := cfg.Trace
+	if eff := machine.ScaleVector(); eff != nil {
+		tr = tr.ScaleCompute(func(r int, _ trace.Record) float64 { return eff[r] })
+	}
+	if machine.Cap != nil {
+		c := *machine.Cap
+		c.Efficiency = nil
+		machine.Cap = &c
+	}
+	if scale != nil {
+		tr = tr.ScaleCompute(func(r int, _ trace.Record) float64 { return scale[r] })
+	}
+	cfg.Trace, cfg.Machine = tr, &machine
+	return cfg
+}
+
+// checkReschedule requires Reschedule on cfg's skeleton under scale to
+// return Run's redistributed gears for the trace the scale stands for, or
+// the same error.
+func checkReschedule(t *testing.T, seed int64, cfg Config, scale []float64) {
+	t.Helper()
+	sk, machine := caseSkeleton(t, cfg)
+	got, errG := Reschedule(cfg, sk, scale)
+	want, errW := Run(scaledReference(cfg, machine, scale))
+	if (errG == nil) != (errW == nil) || errG != nil && errG.Error() != errW.Error() {
+		t.Fatalf("seed %d: Reschedule error %v, Run error %v", seed, errG, errW)
+	}
+	if errW != nil {
+		return
+	}
+	if a, b := fmt.Sprintf("%#v", got), fmt.Sprintf("%#v", want.Redistributed.Gears); a != b {
+		t.Fatalf("seed %d (scaled %t): Reschedule and Run differ:\n reschedule %s\n run        %s", seed, scale != nil, a, b)
+	}
+}
+
 func TestSlackScreenDifferential(t *testing.T) {
 	var certified, screened, walked, feasible int
 	const cases = 200
 	for seed := int64(1); seed <= cases; seed++ {
-		cfg := randomCase(t, seed)
-		certified += checkCertificates(t, seed, cfg)
+		cfg, scale := randomCase(t, seed)
+		certified += checkCertificates(t, seed, cfg, scale)
+		checkReschedule(t, seed, cfg, scale)
 		st, ok := checkRunMatchesFresh(t, seed, cfg)
 		screened += st.Screened
 		walked += st.Walked
@@ -261,9 +322,10 @@ func FuzzSlackCertificate(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		cfg := randomCase(t, seed)
-		checkCertificates(t, seed, cfg)
+		cfg, scale := randomCase(t, seed)
+		checkCertificates(t, seed, cfg, scale)
 		checkRunMatchesFresh(t, seed, cfg)
+		checkReschedule(t, seed, cfg, scale)
 	})
 }
 

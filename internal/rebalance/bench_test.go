@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dimemas"
 	"repro/internal/dvfs"
+	"repro/internal/power"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -99,9 +100,45 @@ func BenchmarkPredictiveRebalanceWRF128(b *testing.B) {
 	}
 }
 
+// BenchmarkRebalanceCappedWRF128 is the rebalance study's capped arm
+// (internal/experiments, rebalance.go, restated here): a 60-iteration
+// threshold-triggered loop over ramping WRF-128 under a peak budget of 70%
+// of the all-FMax compute power, with exact profile peaks, on a warm cache.
+// Every re-solve schedules on the loop's base-iteration skeleton
+// (powercap.Reschedule), so the loop records nothing after warm-up.
+func BenchmarkRebalanceCappedWRF128(b *testing.B) {
+	tr := wrfTrace(b)
+	set, err := dvfs.Uniform(6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pm, err := power.New(power.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := benchConfig(tr, set)
+	cfg.Policy = PolicyCapped
+	cfg.Cap = 0.70 * float64(tr.NumRanks()) * pm.Power(power.Compute, dvfs.GearAt(dvfs.FMax))
+	cfg.ExactPeaks = true
+	cfg.Iterations = 60
+	cfg.Drift = workload.Drift{Kind: workload.DriftRamp, Magnitude: 0.5, Jitter: 0.02, Seed: 41}
+	cfg.Threshold, cfg.Hysteresis, cfg.Margin, cfg.ReassignOverhead = 0.01, 2, 0.15, 3e-3
+	if _, err := Run(cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRebalanceWRF128Fresh is the comparison arm (RunFresh):
 // identical loop, identical results, but every iteration pays a
-// drifted-trace rebuild plus two full replays.
+// drifted-trace rebuild plus two full replays (and the run records the
+// base-iteration skeleton once, uncached).
 func BenchmarkRebalanceWRF128Fresh(b *testing.B) {
 	tr := wrfTrace(b)
 	set, err := dvfs.Uniform(6)

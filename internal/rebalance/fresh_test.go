@@ -79,7 +79,9 @@ func TestRebalancePredictiveExactness(t *testing.T) {
 
 // TestRunFreshPolicyMatrix holds the whole policy × drift matrix of
 // the facade's determinism test against RunFresh: a run that re-simulates
-// every drifted iteration from scratch is deep-equal to the retimed one.
+// every drifted iteration from scratch is deep-equal to the retimed one,
+// on the flat machine and on one whose Efficiency layer stretches every
+// rank differently (the "/efficiency" subtests).
 func TestRunFreshPolicyMatrix(t *testing.T) {
 	inst, err := workload.FindInstance("IS-32")
 	if err != nil {
@@ -101,41 +103,55 @@ func TestRunFreshPolicyMatrix(t *testing.T) {
 		{Kind: workload.DriftWalk, Magnitude: 0.03, Jitter: 0.02, Seed: 3},
 		{Kind: workload.DriftStep, Magnitude: 0.4, Jitter: 0.02, Seed: 3},
 	}
+	eff := make([]float64, tr.NumRanks())
+	for r := range eff {
+		eff[r] = 0.6 + 0.025*float64((r*7)%32) // 32 levels in [0.6, 1.4)
+	}
+	machines := []struct {
+		suffix  string
+		machine *dimemas.Machine
+	}{
+		{"", nil},
+		{"/efficiency", &dimemas.Machine{Cap: &dimemas.Capability{Efficiency: eff}}},
+	}
 	cache := dimemas.NewReplayCache()
 	policies := []rebalance.Policy{
 		rebalance.PolicyNever, rebalance.PolicyEveryK, rebalance.PolicyThreshold,
 		rebalance.PolicyCapped, rebalance.PolicyPredictive, rebalance.PolicyPredictiveCapped,
 	}
-	for _, policy := range policies {
-		for _, drift := range drifts {
-			t.Run(fmt.Sprintf("%s/%s", policy, drift.Kind), func(t *testing.T) {
-				cfg := rebalance.Config{
-					Trace:      tr,
-					Set:        six,
-					Policy:     policy,
-					Iterations: 8,
-					Drift:      drift,
-					Cache:      cache,
-				}
-				if policy == rebalance.PolicyCapped || policy == rebalance.PolicyPredictiveCapped {
-					cfg.Cap = 2000
-				}
-				if policy == rebalance.PolicyEveryK {
-					cfg.Period = 3
-				}
-				retimed, err := rebalance.Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Cache = nil
-				fresh, err := rebalance.RunFresh(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(retimed, fresh) {
-					t.Fatalf("fresh-replay run diverges from the retimed run:\n%+v\nvs\n%+v", retimed, fresh)
-				}
-			})
+	for _, m := range machines {
+		for _, policy := range policies {
+			for _, drift := range drifts {
+				t.Run(fmt.Sprintf("%s/%s%s", policy, drift.Kind, m.suffix), func(t *testing.T) {
+					cfg := rebalance.Config{
+						Trace:      tr,
+						Machine:    m.machine,
+						Set:        six,
+						Policy:     policy,
+						Iterations: 8,
+						Drift:      drift,
+						Cache:      cache,
+					}
+					if policy == rebalance.PolicyCapped || policy == rebalance.PolicyPredictiveCapped {
+						cfg.Cap = 2000
+					}
+					if policy == rebalance.PolicyEveryK {
+						cfg.Period = 3
+					}
+					retimed, err := rebalance.Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Cache = nil
+					fresh, err := rebalance.RunFresh(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(retimed, fresh) {
+						t.Fatalf("fresh-replay run diverges from the retimed run:\n%+v\nvs\n%+v", retimed, fresh)
+					}
+				})
+			}
 		}
 	}
 }

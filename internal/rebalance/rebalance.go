@@ -48,7 +48,9 @@
 // (gear vector, drift factors) combination is replayed with
 // Skeleton.RetimeScaled — bit-identical to freshly simulating the drifted
 // trace, which the tests and the comparison benchmark do as a cross-check,
-// at a fraction of the cost.
+// at a fraction of the cost. A capped re-solve schedules on that same
+// recording (powercap.Reschedule) with the loads as per-rank scales, so a
+// run records one skeleton however often it re-solves.
 package rebalance
 
 import (
@@ -382,23 +384,26 @@ func (c *Config) normalize() error {
 
 // loop carries one run's state.
 type loop struct {
-	cfg      *Config
-	opts     dimemas.Options // resolved β and FMax, with the run's Ctx
-	pm       *power.Model
-	machine  dimemas.Machine
-	base     *trace.Trace // the base iteration (iteration 0 of cfg.Trace)
-	rep      replayer
-	gears    []dvfs.Gear
-	freqs    []float64
-	sd       []float64 // per rank: slowdown of the current gear
-	chat     []float64 // per rank: observed compute de-scaled to FMax
-	c0       []float64 // per rank: base-iteration compute at FMax (trace sums)
-	fc       *predict.Forecaster
-	fcast    []float64 // per rank: forecast load for the next iteration
-	fcomp    []float64 // per rank: predicted executed compute (fcast × sd)
-	capScale []float64 // per rank: capability stretch baked into replays (nil: nominal)
-	pscale   []float64 // per rank: power multipliers (nil: homogeneous)
-	usage    []power.Usage
+	cfg     *Config
+	opts    dimemas.Options // resolved β and FMax, with the run's Ctx
+	pm      *power.Model
+	machine dimemas.Machine
+	rep     replayer
+	gears   []dvfs.Gear
+	freqs   []float64
+	sd      []float64 // per rank: slowdown of the current gear
+	chat    []float64 // per rank: observed compute de-scaled to FMax
+	fc      *predict.Forecaster
+	fcast   []float64 // per rank: forecast load for the next iteration
+	fcomp   []float64 // per rank: predicted executed compute (fcast × sd)
+	pscale  []float64 // per rank: power multipliers (nil: homogeneous)
+	usage   []power.Usage
+
+	// Capped policies only: the base-iteration skeleton the re-solves
+	// schedule on, its per-rank compute at FMax, and the re-solve's scales.
+	skel  *dimemas.Skeleton
+	c0    []float64
+	scale []float64
 }
 
 // pscaleAt returns rank r's power multiplier for Usage rows (0 — the
@@ -443,12 +448,8 @@ type skeletonReplayer struct {
 	dRef  dimemas.DeltaState // FMax reference
 }
 
-func newSkeletonReplayer(cfg *Config, base *trace.Trace, machine dimemas.Machine, opts dimemas.Options) (replayer, error) {
-	skel, err := cfg.Cache.SkeletonForSlice(cfg.Trace, 0, base, machine, opts)
-	if err != nil {
-		return nil, fmt.Errorf("rebalance: base-iteration skeleton: %w", err)
-	}
-	return &skeletonReplayer{skel: skel}, nil
+func newSkeletonReplayer(skel *dimemas.Skeleton, _ *trace.Trace, _ dimemas.Machine, _ dimemas.Options) replayer {
+	return &skeletonReplayer{skel: skel}
 }
 
 func (r *skeletonReplayer) replay(freqs, scale []float64, timeline bool) (exec, ref *dimemas.Result, err error) {
@@ -467,7 +468,9 @@ func (r *skeletonReplayer) replay(freqs, scale []float64, timeline bool) (exec, 
 	return exec, ref, nil
 }
 
-func run(cfg Config, newReplayer func(*Config, *trace.Trace, dimemas.Machine, dimemas.Options) (replayer, error)) (*Result, error) {
+// run is Run over an injected replayer. The base-iteration skeleton is
+// fetched here for every replayer: the capped re-solves schedule on it.
+func run(cfg Config, newReplayer func(*dimemas.Skeleton, *trace.Trace, dimemas.Machine, dimemas.Options) replayer) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, stagerr.Wrap(stagerr.Validate, err)
 	}
@@ -494,17 +497,14 @@ func run(cfg Config, newReplayer func(*Config, *trace.Trace, dimemas.Machine, di
 	}
 
 	l := &loop{
-		cfg:      &cfg,
-		opts:     opts,
-		pm:       pm,
-		machine:  machine,
-		base:     base,
-		freqs:    make([]float64, n),
-		sd:       make([]float64, n),
-		chat:     make([]float64, n),
-		c0:       base.ComputeTimes(),
-		capScale: machine.ScaleVector(),
-		usage:    make([]power.Usage, n),
+		cfg:     &cfg,
+		opts:    opts,
+		pm:      pm,
+		machine: machine,
+		freqs:   make([]float64, n),
+		sd:      make([]float64, n),
+		chat:    make([]float64, n),
+		usage:   make([]power.Usage, n),
 	}
 	if machine.Cap != nil && machine.Cap.PowerScale != nil {
 		l.pscale = make([]float64, n)
@@ -520,10 +520,11 @@ func run(cfg Config, newReplayer func(*Config, *trace.Trace, dimemas.Machine, di
 		l.fcast = make([]float64, n)
 		l.fcomp = make([]float64, n)
 	}
-	l.rep, err = newReplayer(&cfg, base, machine, opts)
+	skel, err := cfg.Cache.SkeletonForSlice(cfg.Trace, 0, base, machine, opts)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("rebalance: base-iteration skeleton: %w", err)
 	}
+	l.rep = newReplayer(skel, base, machine, opts)
 
 	factors, err := cfg.Drift.Factors(n, cfg.Iterations)
 	if err != nil {
@@ -541,6 +542,11 @@ func run(cfg Config, newReplayer func(*Config, *trace.Trace, dimemas.Machine, di
 		l.gears[r] = nominal
 	}
 	if cfg.Policy.capped() {
+		fmax, err := skel.Retime(nil, false)
+		if err != nil {
+			return nil, err
+		}
+		l.skel, l.c0, l.scale = skel, fmax.Compute, make([]float64, n)
 		if err := l.cappedColdStart(); err != nil {
 			return nil, err
 		}
@@ -782,28 +788,21 @@ func (l *loop) solve() ([]dvfs.Gear, error) {
 	return a.Gears, nil
 }
 
-// solveCapped delegates to the power-cap scheduler: the given loads
-// (observed, or forecast for the predictive policy) are written onto the
-// base iteration's structure and redistributed under the peak budget —
-// budget headroom moves toward the (predicted) critical rank. The load
-// times carry the machine's capability stretch (it is baked into every
-// replay), and the scheduler re-applies that stretch on its own machine
-// replay — so the per-rank factor divides it back out, leaving only the
-// genuine drift.
+// solveCapped re-solves under the peak budget on the loop's own recording:
+// the given loads (observed, or forecast for the predictive policy) become
+// per-rank scales of the base iteration's FMax compute, and powercap
+// redistributes over the scaled skeleton — budget headroom moves toward the
+// (predicted) critical rank. The loads and c0 both carry the machine's
+// capability stretch, so each scale is the rank's genuine drift.
 func (l *loop) solveCapped(loads []float64) ([]dvfs.Gear, error) {
+	for r, c := range l.c0 {
+		l.scale[r] = 1 // idle rank: nothing to scale
+		if c > 0 {
+			l.scale[r] = loads[r] / c
+		}
+	}
 	cfg := l.cfg
-	obs := l.base.ScaleCompute(func(r int, _ trace.Record) float64 {
-		if l.c0[r] <= 0 {
-			return 1 // idle rank: nothing to scale
-		}
-		f := loads[r] / l.c0[r]
-		if l.capScale != nil {
-			f /= l.capScale[r]
-		}
-		return f
-	})
-	res, err := powercap.Run(powercap.Config{
-		Trace:    obs,
+	return powercap.Reschedule(powercap.Config{
 		Platform: cfg.Platform,
 		Machine:  cfg.Machine,
 		Power:    cfg.Power,
@@ -813,11 +812,7 @@ func (l *loop) solveCapped(loads []float64) ([]dvfs.Gear, error) {
 		Beta:     cfg.Beta,
 		FMax:     cfg.FMax,
 		Ctx:      cfg.Ctx,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Redistributed.Gears, nil
+	}, l.skel, l.scale)
 }
 
 // cappedColdStart parks every rank on the highest uniform gear whose

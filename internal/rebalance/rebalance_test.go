@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dimemas"
 	"repro/internal/dvfs"
+	"repro/internal/faults"
 	"repro/internal/power"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -406,6 +407,43 @@ func TestSkeletonSharedAcrossRuns(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Misses != misses {
 		t.Errorf("second run added %d skeleton misses, want 0", st.Misses-misses)
+	}
+}
+
+// TestCappedRunRecordsOneSkeleton: a capped run re-solves on the
+// base-iteration skeleton it already holds, so however often it re-solves,
+// it records exactly one skeleton. The registry's rate is so large that
+// the point only counts crossings; the registry is process-global, so this
+// test must not run in parallel.
+func TestCappedRunRecordsOneSkeleton(t *testing.T) {
+	tr := genTrace(t, "WRF-128", 2)
+	pm, err := power.New(power.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := faults.NewRegistry(1, map[faults.Point]uint64{faults.SkeletonBuild: math.MaxUint64})
+	faults.Enable(reg)
+	t.Cleanup(faults.Disable)
+	res, err := Run(Config{
+		Trace:      tr,
+		Set:        sixGears(t),
+		Policy:     PolicyCapped,
+		Cap:        0.7 * float64(tr.NumRanks()) * pm.Power(power.Compute, dvfs.GearAt(dvfs.FMax)),
+		Iterations: 20,
+		Drift:      workload.Drift{Kind: workload.DriftRamp, Magnitude: 0.5, Jitter: 0.02, Seed: 41},
+		ExactPeaks: true,
+		Cache:      dimemas.NewReplayCache(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reassignments == 0 {
+		t.Fatal("the capped run never re-solved to new gears; the check is vacuous")
+	}
+	st := reg.Stats()[faults.SkeletonBuild]
+	if st.Checks != 1 || st.Fired != 0 {
+		t.Errorf("capped run with %d reassignments crossed the skeleton build %d times (%d fired), want once",
+			res.Reassignments, st.Checks, st.Fired)
 	}
 }
 
