@@ -19,7 +19,6 @@ import (
 	"repro/internal/powercap"
 	"repro/internal/predict"
 	"repro/internal/rebalance"
-	"repro/internal/server"
 	"repro/internal/timemodel"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -113,7 +112,10 @@ type SimOptions = dimemas.Options
 type SimResult = dimemas.Result
 
 // Simulate replays a trace on a platform. It is deterministic: the same
-// inputs always produce the same result, bit for bit.
+// inputs always produce the same result, bit for bit. The replay itself runs
+// every rank at FMax; per-rank frequencies and timelines are one retime
+// pass over a recording of that replay, the same kernel TimingSkeleton
+// runs.
 func Simulate(t *Trace, p Platform, opts SimOptions) (*SimResult, error) {
 	return dimemas.Simulate(t, p, opts)
 }
@@ -330,18 +332,6 @@ type PhasedResult = phased.Result
 // RunPhased performs the per-phase MAX analysis.
 func RunPhased(cfg PhasedConfig) (*PhasedResult, error) { return phased.Run(cfg) }
 
-// Serving — the pwrsimd HTTP daemon (cmd/pwrsimd) exposes the pipeline as
-// JSON endpoints over one shared, bounded replay cache.
-
-// ServerConfig parameterizes the pwrsimd HTTP daemon.
-type ServerConfig = server.Config
-
-// Server is the pwrsimd HTTP daemon.
-type Server = server.Server
-
-// NewServer builds the daemon over the default platform and power model.
-func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
-
 // Power-cap scheduling — assign per-rank gears under a fixed cluster power
 // budget (the inverse of the paper's unbounded-power scenario).
 
@@ -398,9 +388,6 @@ func GearAtFrequency(f float64) Gear { return dvfs.GearAt(f) }
 // PowerProfile is a replayed run's cluster power draw as a step function
 // over time, exposing peak, average and exceedance.
 type PowerProfile = power.Profile
-
-// PowerProfileStep is one constant-power interval of a profile.
-type PowerProfileStep = power.ProfileStep
 
 // BuildPowerProfile derives the cluster power profile of a replayed run
 // from its recorded per-rank timelines and gear assignment.
@@ -460,10 +447,6 @@ const (
 	PredictLinear = predict.KindLinear
 )
 
-// ForecastStats reports a forecaster's tracked skill: observation, fallback
-// and structural-break counts plus the rolling model-vs-naive error sums.
-type ForecastStats = predict.Stats
-
 // DefaultPredictConfig returns the recommended forecaster setup (linear
 // model, 8-observation window, skill guard armed).
 func DefaultPredictConfig() PredictConfig { return predict.DefaultConfig() }
@@ -521,8 +504,10 @@ func FlatMachine(p Platform) Machine { return dimemas.FlatMachine(p) }
 // BlockPlacement assigns ranks to nodes contiguously, perNode at a time.
 func BlockPlacement(nranks, perNode int) []int { return dimemas.BlockPlacement(nranks, perNode) }
 
-// SimulateMachine replays a trace on a layered machine. For a flat machine
-// it is bit-identical to Simulate on the base platform.
+// SimulateMachine replays a trace on a layered machine: the topology prices
+// each message and collective at record time, and each burst is stretched
+// by 1/Efficiency before the retime kernel applies its DVFS slowdown. For a
+// flat machine it is bit-identical to Simulate on the base platform.
 func SimulateMachine(t *Trace, m Machine, opts SimOptions) (*SimResult, error) {
 	return dimemas.SimulateMachine(t, m, opts)
 }

@@ -124,12 +124,26 @@ func wrfReplayInputs(b *testing.B) (*Trace, Platform, SimOptions, []float64) {
 	return tr, p, opts, a.Freqs()
 }
 
-// BenchmarkSimulateWRF128 measures one full event-driven replay of WRF-128
-// under a MAX gear assignment — the cost every what-if evaluation paid
-// before skeleton retiming.
+// BenchmarkSimulateWRF128 measures one uncached Simulate of WRF-128 under a
+// MAX gear assignment: an FMax replay that records the skeleton, then one
+// retime pass at the gears.
 func BenchmarkSimulateWRF128(b *testing.B) {
 	tr, p, opts, freqs := wrfReplayInputs(b)
 	opts.Freqs = freqs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Simulate(tr, p, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSimulateBaselineWRF128 measures one uncached Simulate of WRF-128
+// with nil frequencies and no timeline: the plain FMax replay, which records
+// nothing.
+func BenchmarkSimulateBaselineWRF128(b *testing.B) {
+	tr, p, opts, _ := wrfReplayInputs(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

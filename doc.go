@@ -44,7 +44,10 @@
 //	    Drift: repro.WorkloadDrift{Kind: repro.DriftRamp, Magnitude: 0.4, Jitter: 0.02},
 //	})
 //
-// Retiming has two kernels, both bit-identical to Simulate:
+// Simulate itself is a replay at FMax; a call with per-rank frequencies or
+// a timeline records that replay and retimes it once, so DVFS arithmetic
+// lives only in the retime kernels. Retiming has two kernels, both
+// bit-identical to Simulate:
 // TimingSkeleton.Retime re-times one gear vector in a full O(events) pass;
 // RetimeScaled folds per-rank load factors in; RetimeDelta runs the same
 // pass but answers a repeat of either of the last two distinct vectors

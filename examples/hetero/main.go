@@ -47,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	balanced, err := cache.OriginalMachine(tr, m, opts)
+	balanced, err := cache.ReplayMachine(tr, m, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

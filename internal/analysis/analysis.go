@@ -51,11 +51,11 @@ type Config struct {
 	Rounding core.Rounding
 	// Cache optionally memoizes original executions and timing skeletons
 	// across runs: sweeps that evaluate many variants of the same trace
-	// replay the baseline once instead of once per variant, and the DVFS
-	// replay becomes a skeleton retiming (bit-identical to a fresh
-	// simulation, an order of magnitude cheaper). The cached values are
-	// shared and must be treated as read-only (Run itself never mutates
-	// them).
+	// record the trace once instead of once per variant. Both replays of a
+	// run retime that recording (bit-identical to a fresh simulation); a
+	// nil Cache gives the run a private one, so it still records once. The
+	// cached values are shared and must be treated as read-only (Run itself
+	// never mutates them).
 	Cache *dimemas.ReplayCache
 	// Ctx optionally bounds the run: the replay and retiming stages poll
 	// it and abort with its error once it is done, so serving layers can
@@ -164,10 +164,14 @@ func run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Original execution: every rank at the nominal top frequency. The
-	// cache (nil-safe: a nil cache simulates directly) memoizes it across
-	// runs.
-	orig, err := cfg.Cache.OriginalMachine(cfg.Trace, machine, simOpts)
+	// Original execution: every rank at the nominal top frequency. A nil
+	// cache gets a private one, as in RunBatch: the baseline and the DVFS
+	// replay then retime one recording.
+	cache := cfg.Cache
+	if cache == nil {
+		cache = dimemas.NewReplayCache()
+	}
+	orig, err := cache.ReplayMachine(cfg.Trace, machine, simOpts)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: original replay: %w", err)
 	}
@@ -188,12 +192,11 @@ func run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Replay with per-rank frequencies. With a cache this is a retiming of
-	// the memoized timing skeleton — bit-identical to a fresh simulation;
-	// without one it degrades to a plain Simulate call.
+	// Replay with per-rank frequencies: a retiming of the recording,
+	// bit-identical to a fresh simulation.
 	newOpts := simOpts
 	newOpts.Freqs = assignment.Freqs()
-	next, err := cfg.Cache.ReplayMachine(cfg.Trace, machine, newOpts)
+	next, err := cache.ReplayMachine(cfg.Trace, machine, newOpts)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: DVFS replay: %w", err)
 	}

@@ -68,14 +68,14 @@ func runBatch(cfg Config, items []BatchItem) ([]*Result, []error, error) {
 		return nil, nil, err
 	}
 
-	// Shared stages, computed once. A nil cache gets a private one: the
-	// skeleton must be built regardless, and its retimings are bit-identical
-	// to the fresh simulations an uncached Run performs.
+	// Shared stages, computed once. A nil cache gets a private one, as in
+	// Run: the skeleton must be recorded regardless, and its retimings are
+	// bit-identical to fresh simulations.
 	cache := cfg.Cache
 	if cache == nil {
 		cache = dimemas.NewReplayCache()
 	}
-	orig, err := cache.OriginalMachine(cfg.Trace, machine, simOpts)
+	orig, err := cache.ReplayMachine(cfg.Trace, machine, simOpts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("analysis: original replay: %w", err)
 	}

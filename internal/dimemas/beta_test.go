@@ -125,7 +125,7 @@ func FuzzRecordingAnyBeta(f *testing.F) {
 		for _, timeline := range []bool{false, true} {
 			o := opts
 			o.RecordTimeline = timeline
-			got, err := cache.OriginalMachine(tr, m, o)
+			got, err := cache.ReplayMachine(tr, m, o)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -94,27 +94,10 @@ func NewReplayCacheWithLimit(maxEntries int) *ReplayCache {
 	return &ReplayCache{m: memo.New[replayKey, *recording](maxEntries)}
 }
 
-// Original returns the memoized baseline replay of t under opts, recording
-// it on first use. A nil receiver, or options carrying explicit per-rank
-// frequencies (which the cache does not index), degrade to a plain
-// uncached Simulate call, so callers can thread an optional cache without
-// branching.
+// Original is ReplayMachine on the flat machine of p: with nil Freqs, the
+// memoized baseline replay of t, recorded on first use.
 func (c *ReplayCache) Original(t *trace.Trace, p Platform, opts Options) (*Result, error) {
-	return c.OriginalMachine(t, FlatMachine(p), opts)
-}
-
-// OriginalMachine is Original on the layered machine model; machines are
-// distinguished in the key by their fingerprint, so heterogeneous
-// per-request machines share one cache safely.
-func (c *ReplayCache) OriginalMachine(t *trace.Trace, m Machine, opts Options) (*Result, error) {
-	if c == nil || opts.Freqs != nil {
-		return SimulateMachine(t, m, opts)
-	}
-	rec, err := c.record(t, -1, t, m, opts)
-	if err != nil {
-		return nil, err
-	}
-	return rec.baseline(opts.RecordTimeline)
+	return c.ReplayMachine(t, FlatMachine(p), opts)
 }
 
 // SkeletonFor returns the memoized timing skeleton of t under opts
@@ -150,19 +133,25 @@ func (c *ReplayCache) SkeletonForSlice(parent *trace.Trace, iteration int, sub *
 }
 
 // ReplayMachine returns the replay of t under opts on the layered machine
-// model: the memoized baseline when opts.Freqs is nil, and a skeleton
-// retiming — bit-identical to SimulateMachine but an order of magnitude
-// cheaper — when per-rank frequencies are given. A nil receiver degrades to
-// a plain SimulateMachine call.
+// model, bit-identical to SimulateMachine, off the memoized recording of
+// (t, m, FMax): the stored baseline when opts.Freqs is nil, a retime of the
+// skeleton when per-rank frequencies are given. Machines are distinguished
+// in the key by their fingerprint, so heterogeneous per-request machines
+// share one cache safely. A nil receiver degrades to a plain
+// SimulateMachine call, so callers can thread an optional cache without
+// branching.
 func (c *ReplayCache) ReplayMachine(t *trace.Trace, m Machine, opts Options) (*Result, error) {
-	if c == nil || opts.Freqs == nil {
-		return c.OriginalMachine(t, m, opts)
+	if c == nil {
+		return SimulateMachine(t, m, opts)
 	}
-	sk, err := c.SkeletonForMachine(t, m, opts)
+	rec, err := c.record(t, -1, t, m, opts)
 	if err != nil {
 		return nil, err
 	}
-	return sk.Retime(opts.Freqs, opts.RecordTimeline)
+	if opts.Freqs == nil {
+		return rec.baseline(opts.RecordTimeline)
+	}
+	return rec.skel.withBeta(opts.Beta).Retime(opts.Freqs, opts.RecordTimeline)
 }
 
 // record returns the memoized recording of build, keyed on (keyTrace,

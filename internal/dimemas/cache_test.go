@@ -42,14 +42,16 @@ func TestReplayCacheStatsCounters(t *testing.T) {
 		t.Fatalf("stats = %+v, want %+v", s, want)
 	}
 
-	// Explicit per-rank frequencies bypass the cache entirely.
-	bypass := opts
-	bypass.Freqs = []float64{2.3, 2.3}
-	if _, err := c.Original(tr, p, bypass); err != nil {
+	// Explicit per-rank frequencies retime the same recording: one more
+	// hit, no new entry.
+	withFreqs := opts
+	withFreqs.Freqs = []float64{2.3, 2.3}
+	if _, err := c.Original(tr, p, withFreqs); err != nil {
 		t.Fatal(err)
 	}
+	want.Hits++
 	if s := c.Stats(); s != want {
-		t.Fatalf("stats after bypass = %+v, want unchanged %+v", s, want)
+		t.Fatalf("stats after a Freqs replay = %+v, want %+v", s, want)
 	}
 }
 

@@ -5,8 +5,8 @@ package dimemas
 // top of it:
 //
 //   - a topology layer (node/switch hierarchy with per-level links and a
-//     rank→node placement vector) that turns the single transfer(b) into a
-//     pair-resolved cost, and
+//     rank→node placement vector) that turns the flat link's wire time
+//     into a pair-resolved cost, and
 //   - a capability layer (per-rank efficiency, top frequency and power
 //     scale) that makes ranks heterogeneous.
 //
@@ -16,8 +16,8 @@ package dimemas
 // to the pre-machine code (golden-tested in machine_test.go).
 //
 // Pair-resolved transfer costs and topology-priced collectives are
-// gear-independent, so they are resolved where wire times were always
-// resolved: inside Simulate and at skeleton-record time. The retime tiers
+// gear-independent, so they are resolved in the one replay scheduler, at
+// record time, which Simulate and BuildSkeleton share. The retime tiers
 // (full/scaled/delta/batch) never see the topology at all, which is how the
 // fast path survives the refactor untouched. Capability efficiency folds
 // into the compute scaling the retimers already support.
@@ -228,7 +228,7 @@ func (t *Topology) linkFor(src, dst int) Link {
 }
 
 // transferPair returns the wire time of one b-byte message from rank src to
-// rank dst. The flat path performs exactly Platform.transfer's arithmetic.
+// rank dst. The flat path prices the base link: Latency + b/Bandwidth.
 func (m *Machine) transferPair(src, dst int, b int64) float64 {
 	if m.Topo == nil {
 		return m.Base.Latency + float64(b)/m.Base.Bandwidth

@@ -141,6 +141,48 @@ func TestMachineSkeletonRetimeMatchesSimulateMachine(t *testing.T) {
 	}
 }
 
+// TestSimulateMachineMatchesReference holds SimulateMachine against the
+// machine-aware polling reference, which shares neither the scheduler nor
+// the retime kernel: random topology, efficiency and combined machines, at
+// several β, with and without frequencies (the traces carry β overrides)
+// and timelines.
+func TestSimulateMachineMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, n := range []int{2, 4, 8} {
+			for pi, p := range equivPlatforms() {
+				tr := randomValidTrace(seed*100+int64(n), n, 3, p.EagerLimit)
+				rng := rand.New(rand.NewSource(seed*13 + int64(n)))
+				topo, capab := randomTopology(rng, n), randomCapability(rng, n)
+				machines := []Machine{
+					{Base: p, Topo: topo},
+					{Base: p, Cap: capab},
+					{Base: p, Topo: topo, Cap: capab},
+				}
+				for mi, m := range machines {
+					for _, beta := range []float64{0, 0.5, 1} {
+						for _, freqs := range [][]float64{nil, randomGearVector(rng, n)} {
+							for _, timeline := range []bool{false, true} {
+								opts := Options{Beta: beta, FMax: 2.3, Freqs: freqs, RecordTimeline: timeline}
+								label := fmt.Sprintf("seed=%d n=%d platform=%d machine=%d beta=%v freqs=%v timeline=%v",
+									seed, n, pi, mi, beta, freqs != nil, timeline)
+								want, err := simulateReferenceMachine(tr, &m, opts)
+								if err != nil {
+									t.Fatalf("%s: reference: %v", label, err)
+								}
+								got, err := SimulateMachine(tr, m, opts)
+								if err != nil {
+									t.Fatalf("%s: %v", label, err)
+								}
+								mustEqualResults(t, label, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTopologyPairResolvedTransfer(t *testing.T) {
 	// Two eager pings on a zero-overhead machine: rank 0→1 share a node
 	// (fast link), rank 0→2 crosses nodes (slow link).
@@ -290,7 +332,7 @@ func TestReplayCacheMachineKeying(t *testing.T) {
 	if _, err := cache.Original(tr, p, opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.OriginalMachine(tr, FlatMachine(p), opts); err != nil {
+	if _, err := cache.ReplayMachine(tr, FlatMachine(p), opts); err != nil {
 		t.Fatal(err)
 	}
 	st := cache.Stats()
@@ -300,7 +342,7 @@ func TestReplayCacheMachineKeying(t *testing.T) {
 
 	// A heterogeneous machine mints a distinct key.
 	m := Machine{Base: p, Cap: &Capability{Efficiency: []float64{1, 1, 1, 2}}}
-	r1, err := cache.OriginalMachine(tr, m, opts)
+	r1, err := cache.ReplayMachine(tr, m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,11 +71,6 @@ func (p Platform) Validate() error {
 	return nil
 }
 
-// transfer returns the wire time of one b-byte message.
-func (p Platform) transfer(b int64) float64 {
-	return p.Latency + float64(b)/p.Bandwidth
-}
-
 func ceilLog2(n int) int {
 	if n <= 1 {
 		return 0

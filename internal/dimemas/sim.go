@@ -205,14 +205,12 @@ type collInstance struct {
 }
 
 type rankState struct {
-	pc         int32
-	collIdx    int32 // next collective index for this rank
-	sendIdx    int32 // arena slot of the pending rendezvous send (blockedSend)
-	blocked    blockKind
-	clock      float64
-	compute    float64
-	blockStart float64
-	segs       []Segment
+	pc      int32
+	collIdx int32 // next collective index for this rank
+	sendIdx int32 // arena slot of the pending rendezvous send (blockedSend)
+	blocked blockKind
+	clock   float64
+	compute float64
 }
 
 // simContext holds all per-run scratch state. Contexts are recycled through
@@ -224,8 +222,6 @@ type simContext struct {
 	sends  []sendEntry
 	queue  []int32 // ready queue: appended on wake, drained by a head cursor
 	queued []bool  // queue membership per rank
-	freqs  []float64
-	sd     []float64 // per rank: default-β slowdown at the rank's frequency
 	// Cooperative cancellation: step polls Options.Ctx every cancelStride
 	// retired records (a single step call can retire a rank's whole
 	// stream, so polling only between queue pops is not enough).
@@ -275,6 +271,11 @@ func (c *simContext) reset(idx *traceIndex) {
 // operation sequence is unchanged; only the scheduling of runnable ranks
 // differs, and no arithmetic crosses rank boundaries except order-invariant
 // max reductions).
+//
+// The scheduler itself only ever runs at FMax. A call with nil Freqs and no
+// timeline is that replay; any other call records the replay into a
+// skeleton and answers with one pass of the retime kernel, the only place
+// DVFS slowdowns and timeline segments are computed.
 func Simulate(t *trace.Trace, p Platform, opts Options) (*Result, error) {
 	m := Machine{Base: p}
 	return simulate(t, &m, opts)
@@ -283,10 +284,10 @@ func Simulate(t *trace.Trace, p Platform, opts Options) (*Result, error) {
 // SimulateMachine is Simulate on the layered machine model: point-to-point
 // wire times are resolved per (sender, receiver) pair through the topology
 // layer, collectives are priced over the slowest spanned link, and each
-// rank's compute bursts are stretched by 1/Efficiency[r] (the duration is
-// scaled before the DVFS slowdown is applied, the same association
-// Skeleton.RetimeScaled uses). A flat machine — both layers nil — is
-// bit-identical to Simulate(t, m.Base, opts).
+// rank's compute bursts are stretched by 1/Efficiency[r]. The replay records
+// the stretched durations, and the retime kernel applies the DVFS slowdown
+// to them, so a burst of d runs for (d·(1/e))·slowdown. A flat machine —
+// both layers nil — is bit-identical to Simulate(t, m.Base, opts).
 func SimulateMachine(t *trace.Trace, m Machine, opts Options) (*Result, error) {
 	return simulate(t, &m, opts)
 }
@@ -299,7 +300,16 @@ func simulate(t *trace.Trace, m *Machine, opts Options) (*Result, error) {
 	if err := checkFreqs(opts.Freqs, idx.nranks); err != nil {
 		return nil, stagerr.Errorf(stagerr.Validate, "dimemas: %v", err)
 	}
-	return replay(t, idx, m, &opts, nil)
+	if opts.Freqs == nil && !opts.RecordTimeline {
+		return replay(opts.Ctx, t, idx, m, nil, stagerr.Retime)
+	}
+	s := newSkeleton(t, idx, m, &opts)
+	if _, err := replay(opts.Ctx, t, idx, m, s, stagerr.Retime); err != nil {
+		return nil, err
+	}
+	res := &Result{}
+	s.kernel(res, opts.Freqs, nil, opts.RecordTimeline)
+	return res, nil
 }
 
 // checkReplay is the input check Simulate and BuildSkeleton share, in the
@@ -324,30 +334,17 @@ func checkReplay(t *trace.Trace, m *Machine, opts *Options) (*traceIndex, error)
 	return idx, nil
 }
 
-// replay is the one scheduler: it runs checked inputs to completion and,
-// when sk is non-nil, appends every retirement to sk's schedule as it
-// happens (see skeleton.go), so the skeleton's op order is by construction
-// the order this engine retires events in. A deadlock carries the retime
-// stage for a plain replay and the skeleton stage for a recording.
-func replay(t *trace.Trace, idx *traceIndex, m *Machine, opts *Options, sk *Skeleton) (*Result, error) {
+// replay is the one scheduler: it runs checked inputs to completion with
+// every rank at FMax and, when sk is non-nil, appends every retirement to
+// sk's schedule as it happens (see skeleton.go), so the skeleton's op order
+// is by construction the order this engine retires events in. At FMax every
+// DVFS slowdown is exactly 1, so a burst costs its (capability-stretched)
+// duration. A deadlock is reported under stage; ctx may be nil.
+func replay(ctx context.Context, t *trace.Trace, idx *traceIndex, m *Machine, sk *Skeleton, stage stagerr.Stage) (*Result, error) {
 	n := idx.nranks
 	c := ctxPool.Get().(*simContext)
 	defer ctxPool.Put(c)
 	c.reset(idx)
-	freqs := opts.Freqs
-	if freqs == nil {
-		c.freqs = resetSlice(c.freqs, n)
-		for i := range c.freqs {
-			c.freqs[i] = opts.FMax
-		}
-		freqs = c.freqs
-	}
-	c.sd = grow(c.sd, n)
-	for r, f := range freqs {
-		// Slowdown is deterministic per argument triple, so evaluating it
-		// once per rank gives the bits of evaluating it once per burst.
-		c.sd[r] = timemodel.Slowdown(opts.Beta, opts.FMax, f)
-	}
 	scale := m.ScaleVector()
 
 	// Every rank starts runnable, in rank order. After that, a rank is
@@ -358,25 +355,21 @@ func replay(t *trace.Trace, idx *traceIndex, m *Machine, opts *Options, sk *Skel
 		c.queue = append(c.queue, int32(r))
 		c.queued[r] = true
 	}
-	if opts.Ctx != nil {
-		if err := opts.Ctx.Err(); err != nil {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
 	for head := 0; head < len(c.queue); head++ {
 		r := c.queue[head]
 		c.queued[r] = false
-		c.step(int(r), t, idx, m, opts, freqs, scale, sk)
+		c.step(ctx, int(r), t, idx, m, scale, sk)
 		if c.cancelled {
-			return nil, opts.Ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 	for r := 0; r < n; r++ {
 		if int(c.ranks[r].pc) < len(t.Ranks[r]) {
-			stage := stagerr.Retime
-			if sk != nil {
-				stage = stagerr.Skeleton
-			}
 			return nil, stagerr.Wrap(stage, deadlockError(t, func(r int) int { return int(c.ranks[r].pc) }))
 		}
 	}
@@ -385,18 +378,11 @@ func replay(t *trace.Trace, idx *traceIndex, m *Machine, opts *Options, sk *Skel
 		Compute: make([]float64, n),
 		Finish:  make([]float64, n),
 	}
-	if opts.RecordTimeline {
-		res.Timeline = make([][]Segment, n)
-	}
 	for r := range c.ranks {
 		res.Compute[r] = c.ranks[r].compute
 		res.Finish[r] = c.ranks[r].clock
 		if c.ranks[r].clock > res.Time {
 			res.Time = c.ranks[r].clock
-		}
-		if opts.RecordTimeline {
-			res.Timeline[r] = c.ranks[r].segs
-			c.ranks[r].segs = nil // segments escape into the Result; drop them from the pooled context
 		}
 	}
 	return res, nil
@@ -414,14 +400,14 @@ func (c *simContext) wake(r int32) {
 // step retires as many records as possible for rank r, parking it on the
 // first event that has not fired yet and waking the ranks unblocked by its
 // own progress. With a recorder sk, each retirement also appends its op.
-func (c *simContext) step(r int, t *trace.Trace, idx *traceIndex, m *Machine, opts *Options, freqs, scale []float64, sk *Skeleton) {
+func (c *simContext) step(ctx context.Context, r int, t *trace.Trace, idx *traceIndex, m *Machine, scale []float64, sk *Skeleton) {
 	rs := &c.ranks[r]
 	recs := t.Ranks[r]
 	chanOf := idx.chanOf[r]
 	n := idx.nranks
 	for int(rs.pc) < len(recs) {
-		if opts.Ctx != nil {
-			if c.steps++; c.steps%cancelStride == 0 && opts.Ctx.Err() != nil {
+		if ctx != nil {
+			if c.steps++; c.steps%cancelStride == 0 && ctx.Err() != nil {
 				c.cancelled = true
 				return
 			}
@@ -433,7 +419,6 @@ func (c *simContext) step(r int, t *trace.Trace, idx *traceIndex, m *Machine, op
 			if !e.done {
 				return
 			}
-			c.addSeg(rs, rs.blockStart, e.end, StateComm, opts)
 			rs.clock = e.end
 			rs.blocked = notBlocked
 			rs.pc++
@@ -443,40 +428,29 @@ func (c *simContext) step(r int, t *trace.Trace, idx *traceIndex, m *Machine, op
 			if !ci.complete {
 				return
 			}
-			c.addSeg(rs, rs.blockStart, ci.end, StateComm, opts)
 			rs.clock = ci.end
 			rs.collIdx++
 			rs.blocked = notBlocked
 			rs.pc++
 			continue
 		case blockedRecv:
-			// Re-attempt the pairing below with the preserved block start.
+			// Re-attempt the pairing below; the overhead is already paid.
 		}
 
 		switch rec.Kind {
 		case trace.KindCompute:
-			dur := rec.Duration
+			d := rec.Duration
 			if scale != nil {
-				// Capability stretch first, DVFS slowdown second — the
-				// association RetimeScaled uses, so machine skeleton
-				// retimes stay bit-identical to this replay.
-				dur *= scale[r]
-			}
-			sd := c.sd[r]
-			if rec.Beta >= 0 {
-				sd = timemodel.Slowdown(rec.Beta, opts.FMax, freqs[r])
+				d *= scale[r]
 			}
 			if sk != nil {
-				sk.recordCompute(r, dur, rec.Beta)
+				sk.recordCompute(r, d, rec.Beta)
 			}
-			d := dur * sd
-			c.addSeg(rs, rs.clock, rs.clock+d, StateCompute, opts)
 			rs.clock += d
 			rs.compute += d
 			rs.pc++
 
 		case trace.KindSend:
-			start := rs.clock
 			rs.clock += m.Base.Overhead
 			ch := &c.chans[chanOf[rs.pc]]
 			si := ch.base + ch.posted
@@ -489,19 +463,16 @@ func (c *simContext) step(r int, t *trace.Trace, idx *traceIndex, m *Machine, op
 			}
 			if e.rendezvous {
 				rs.blocked = blockedSend
-				rs.blockStart = start
 				rs.sendIdx = si
 				return
 			}
 			if sk != nil {
 				sk.ops = append(sk.ops, skelOp{kind: opSendEager, rank: int32(r), arg: si})
 			}
-			c.addSeg(rs, start, rs.clock, StateComm, opts)
 			rs.pc++
 
 		case trace.KindRecv:
 			if rs.blocked != blockedRecv {
-				rs.blockStart = rs.clock
 				rs.clock += m.Base.Overhead
 			}
 			cid := chanOf[rs.pc]
@@ -532,7 +503,6 @@ func (c *simContext) step(r int, t *trace.Trace, idx *traceIndex, m *Machine, op
 					sk.ops = append(sk.ops, skelOp{kind: opRecvEager, rank: int32(r), arg: si, f1: wire})
 				}
 			}
-			c.addSeg(rs, rs.blockStart, rs.clock, StateComm, opts)
 			rs.blocked = notBlocked
 			rs.pc++
 
@@ -552,7 +522,6 @@ func (c *simContext) step(r int, t *trace.Trace, idx *traceIndex, m *Machine, op
 				if sk != nil {
 					sk.ops = append(sk.ops, skelOp{kind: opColl, rank: int32(r), f1: cost})
 				}
-				c.addSeg(rs, rs.clock, ci.end, StateComm, opts)
 				rs.clock = ci.end
 				collID := rs.collIdx
 				rs.collIdx++
@@ -565,7 +534,6 @@ func (c *simContext) step(r int, t *trace.Trace, idx *traceIndex, m *Machine, op
 				continue
 			}
 			rs.blocked = blockedColl
-			rs.blockStart = rs.clock
 			return
 
 		case trace.KindIterMark:
@@ -576,27 +544,6 @@ func (c *simContext) step(r int, t *trace.Trace, idx *traceIndex, m *Machine, op
 			rs.pc++
 		}
 	}
-}
-
-func (c *simContext) addSeg(rs *rankState, start, end float64, st State, opts *Options) {
-	if !opts.RecordTimeline {
-		return
-	}
-	rs.segs = appendSeg(rs.segs, start, end, st)
-}
-
-// appendSeg appends one timeline interval, merging it with the previous
-// segment when contiguous and same state. Shared by the replay engine and
-// the skeleton retimer so recorded timelines stay bit-identical.
-func appendSeg(segs []Segment, start, end float64, st State) []Segment {
-	if end <= start {
-		return segs
-	}
-	if n := len(segs); n > 0 && segs[n-1].State == st && segs[n-1].End >= start-1e-15 {
-		segs[n-1].End = end
-		return segs
-	}
-	return append(segs, Segment{Start: start, End: end, State: st})
 }
 
 // deadlockError formats the blocked-ranks diagnostic from each rank's stuck

@@ -264,15 +264,23 @@ func TestReplayCacheSharesBaseline(t *testing.T) {
 	if cache.Len() != 2 {
 		t.Errorf("cache holds %d entries, want 2", cache.Len())
 	}
-	// Explicit frequencies bypass the cache entirely.
+	// Explicit frequencies retime the cached recording: a hit, no new
+	// entry, and the bits of a fresh simulation.
 	withFreqs := opts
-	withFreqs.Freqs = []float64{2.3, 2.3, 2.3, 2.3}
-	if _, err := cache.Original(tr, DefaultPlatform(), withFreqs); err != nil {
+	withFreqs.Freqs = []float64{2.3, 1.8, 2.3, 1.4}
+	hits := cache.Stats().Hits
+	got, err := cache.Original(tr, DefaultPlatform(), withFreqs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Len() != 2 {
-		t.Errorf("Freqs replay was cached: %d entries", cache.Len())
+	if s := cache.Stats(); s.Hits != hits+1 || s.Entries != 2 {
+		t.Errorf("Freqs replay: stats %+v, want hits %d and 2 entries", s, hits+1)
 	}
+	fresh, err := Simulate(tr, DefaultPlatform(), withFreqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualResults(t, "cached Freqs replay", got, fresh)
 	// Nil caches degrade to plain simulation.
 	var nilCache *ReplayCache
 	res, err := nilCache.Original(tr, DefaultPlatform(), opts)

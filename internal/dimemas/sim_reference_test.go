@@ -2,10 +2,14 @@ package dimemas
 
 // simulateReference is the pre-event-driven replay engine: a round-robin
 // polling loop over all ranks with map-backed channels and per-record heap
-// allocations. It is kept verbatim (modulo renames) as the golden reference
-// for the equivalence tests — the production event-driven engine must stay
-// bit-identical to it for every valid trace, because all of the paper's
-// reported numbers were first produced by this loop.
+// allocations, computing every DVFS slowdown and timeline segment inline as
+// the engine first did. It is the reference truth for the equivalence tests
+// — production Simulate (an FMax replay, plus a recording and one retime
+// pass for frequencies and timelines) must stay bit-identical to it for
+// every valid trace, because all of the paper's reported numbers were first
+// produced by this loop. simulateReferenceMachine extends it to the layered
+// machine model, so SimulateMachine is checked against an engine that does
+// not share its scheduler or its retime kernel.
 
 import (
 	"fmt"
@@ -50,6 +54,16 @@ type refRankState struct {
 }
 
 func simulateReference(t *trace.Trace, p Platform, opts Options) (*Result, error) {
+	return simulateReferenceMachine(t, &Machine{Base: p}, opts)
+}
+
+// simulateReferenceMachine prices point-to-point messages per (sender,
+// receiver) pair through transferPair and collectives over the spanned link
+// through collectiveCost, and stretches each burst by 1/Efficiency[rank]
+// before applying the slowdown. On a flat machine every operation is the
+// flat engine's.
+func simulateReferenceMachine(t *trace.Trace, m *Machine, opts Options) (*Result, error) {
+	p := m.Base
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -57,6 +71,13 @@ func simulateReference(t *trace.Trace, p Platform, opts Options) (*Result, error
 		return nil, err
 	}
 	n := t.NumRanks()
+	if err := m.ValidateFor(n); err != nil {
+		return nil, err
+	}
+	var eff []float64
+	if m.Cap != nil {
+		eff = m.Cap.Efficiency
+	}
 	if opts.FMax <= 0 {
 		return nil, fmt.Errorf("dimemas: FMax must be positive, got %v", opts.FMax)
 	}
@@ -149,7 +170,11 @@ func simulateReference(t *trace.Trace, p Platform, opts Options) (*Result, error
 				if beta < 0 {
 					beta = opts.Beta
 				}
-				d := rec.Duration * timemodel.Slowdown(beta, opts.FMax, freqs[r])
+				d := rec.Duration
+				if eff != nil {
+					d *= 1 / eff[r]
+				}
+				d *= timemodel.Slowdown(beta, opts.FMax, freqs[r])
 				addSeg(rs, rs.clock, rs.clock+d, StateCompute)
 				rs.clock += d
 				rs.compute += d
@@ -184,13 +209,14 @@ func simulateReference(t *trace.Trace, p Platform, opts Options) (*Result, error
 				}
 				e := ch.sends[ch.nextSend]
 				ch.nextSend++
+				wire := m.transferPair(rec.Peer, r, e.bytes)
 				if e.rendezvous {
-					end := math.Max(rs.clock, e.ready) + p.transfer(e.bytes)
+					end := math.Max(rs.clock, e.ready) + wire
 					e.done = true
 					e.end = end
 					rs.clock = end
 				} else {
-					arrival := e.ready + p.transfer(e.bytes)
+					arrival := e.ready + wire
 					rs.clock = math.Max(rs.clock, arrival)
 				}
 				addSeg(rs, rs.blockStart, rs.clock, StateComm)
@@ -206,7 +232,7 @@ func simulateReference(t *trace.Trace, p Platform, opts Options) (*Result, error
 				}
 				if ci.arrived == n {
 					ci.complete = true
-					ci.end = ci.maxReady + p.CollectiveCost(rec.Coll, rec.Bytes, n)
+					ci.end = ci.maxReady + m.collectiveCost(rec.Coll, rec.Bytes, n)
 					addSeg(rs, rs.clock, ci.end, StateComm)
 					rs.clock = ci.end
 					rs.collIdx++

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/faults"
+	"repro/internal/stagerr"
 	"repro/internal/trace"
 )
 
@@ -377,5 +379,99 @@ func TestSlowerFrequencyNeverFasterProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// simulateShapes are the option shapes Simulate answers by recording the
+// FMax replay and retiming it once.
+func simulateShapes(n int) map[string]Options {
+	freqs := make([]float64, n)
+	for i := range freqs {
+		freqs[i] = 1.4
+	}
+	withFreqs, withTimeline := DefaultOptions(), DefaultOptions()
+	withFreqs.Freqs = freqs
+	withTimeline.RecordTimeline = true
+	both := withFreqs
+	both.RecordTimeline = true
+	return map[string]Options{"freqs": withFreqs, "timeline": withTimeline, "freqs+timeline": both}
+}
+
+// TestSimulateCrossesNoFaultPoint pins that Simulate's recording and retime
+// are internal: no shape crosses the skeleton-build or retime fault point,
+// which belong to BuildSkeleton and the public retime tiers. A rate of
+// MaxUint64 counts every crossing without firing.
+func TestSimulateCrossesNoFaultPoint(t *testing.T) {
+	reg := faults.NewRegistry(1, map[faults.Point]uint64{faults.SkeletonBuild: math.MaxUint64, faults.Retime: math.MaxUint64})
+	faults.Enable(reg)
+	t.Cleanup(faults.Disable)
+	tr := randomValidTrace(5, 4, 2, DefaultPlatform().EagerLimit)
+	for name, o := range simulateShapes(4) {
+		if _, err := Simulate(tr, DefaultPlatform(), o); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	for p, st := range reg.Stats() {
+		if st.Checks != 0 {
+			t.Errorf("Simulate crossed %s %d times, want 0", p, st.Checks)
+		}
+	}
+	// The registry does count the public entry points.
+	sk, err := BuildSkeleton(tr, DefaultPlatform(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sk.Retime(nil, false); err != nil {
+		t.Fatal(err)
+	}
+	for p, st := range reg.Stats() {
+		if st.Checks != 1 {
+			t.Errorf("BuildSkeleton then Retime crossed %s %d times, want 1", p, st.Checks)
+		}
+	}
+}
+
+// TestSimulateDeadlockStageUnderFreqs pins that a recorded Simulate reports
+// a deadlock exactly as the plain replay does: same text, retime stage.
+func TestSimulateDeadlockStageUnderFreqs(t *testing.T) {
+	tr := trace.New("dl", 2)
+	tr.Add(0, trace.Send(1, 200, 0), trace.Recv(1, 200, 0))
+	tr.Add(1, trace.Send(0, 200, 0), trace.Recv(0, 200, 0))
+	_, plain := Simulate(tr, flatPlatform(), DefaultOptions())
+	if !errors.Is(plain, ErrDeadlock) {
+		t.Fatalf("plain replay: err = %v, want deadlock", plain)
+	}
+	for name, o := range simulateShapes(2) {
+		_, err := Simulate(tr, flatPlatform(), o)
+		if !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("%s: err = %v, want deadlock", name, err)
+		}
+		if err.Error() != plain.Error() {
+			t.Errorf("%s: diagnostic %q, plain replay %q", name, err, plain)
+		}
+		if st, _ := stagerr.StageOf(err); st != stagerr.Retime {
+			t.Errorf("%s: stage %q, want %q", name, st, stagerr.Retime)
+		}
+	}
+}
+
+// TestSimulateRejectsBadFreqsBeforeReplay pins the check order: invalid
+// frequencies fail at the validate stage before any replay runs, so a
+// trace that would deadlock reports the frequencies, not the deadlock.
+func TestSimulateRejectsBadFreqsBeforeReplay(t *testing.T) {
+	tr := trace.New("dl", 2)
+	tr.Add(0, trace.Send(1, 200, 0), trace.Recv(1, 200, 0))
+	tr.Add(1, trace.Send(0, 200, 0), trace.Recv(0, 200, 0))
+	for _, freqs := range [][]float64{{2.3}, {2.3, 0}, {math.NaN(), 2.3}, {2.3, math.Inf(1)}} {
+		o := DefaultOptions()
+		o.Freqs = freqs
+		o.RecordTimeline = true
+		_, err := Simulate(tr, flatPlatform(), o)
+		if err == nil || errors.Is(err, ErrDeadlock) {
+			t.Fatalf("freqs %v: err = %v, want a validate error", freqs, err)
+		}
+		if st, _ := stagerr.StageOf(err); st != stagerr.Validate {
+			t.Errorf("freqs %v: stage %q, want %q", freqs, st, stagerr.Validate)
+		}
 	}
 }

@@ -6,12 +6,15 @@ package dimemas
 // — is fixed by the trace and the platform; only event *times* depend on the
 // per-rank DVFS frequencies. Control flow in the replay engine never reads a
 // clock (blocking and wake-ups are decided purely by matching availability),
-// so one replay at any frequencies retires events in the order every other
-// replay would. BuildSkeleton runs that replay once with a recorder, which
-// appends each retirement to a flat op list. Retime then re-times any gear
-// assignment with a single forward pass over that list — no queues, no
-// blocking states, no channel bookkeeping — and produces a Result
-// bit-identical to Simulate.
+// so the replay at FMax retires events in the order a replay at any other
+// frequencies would. BuildSkeleton runs that replay once with a recorder,
+// which appends each retirement to a flat op list. Retime then re-times any
+// gear assignment with a single forward pass over that list — no queues, no
+// blocking states, no channel bookkeeping. The scheduler itself never runs
+// at other frequencies: Simulate with frequencies or a timeline is a
+// recording plus one kernel pass, so this file is the one place DVFS
+// slowdowns and timeline segments are computed. The polling engine in
+// sim_reference_test.go computes them inline and is the independent check.
 
 import (
 	"math"
@@ -140,7 +143,17 @@ func buildSkeleton(t *trace.Trace, m *Machine, opts Options) (*Skeleton, error) 
 	if err := faults.Check(faults.SkeletonBuild); err != nil {
 		return nil, stagerr.Wrap(stagerr.Skeleton, err)
 	}
-	s := &Skeleton{
+	s := newSkeleton(t, idx, m, &opts)
+	if _, err := replay(opts.Ctx, t, idx, m, s, stagerr.Skeleton); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// newSkeleton returns an empty skeleton of checked inputs, ready for replay
+// to record into.
+func newSkeleton(t *trace.Trace, idx *traceIndex, m *Machine, opts *Options) *Skeleton {
+	return &Skeleton{
 		nranks:   idx.nranks,
 		nslots:   idx.totalSends,
 		beta:     opts.Beta,
@@ -148,11 +161,6 @@ func buildSkeleton(t *trace.Trace, m *Machine, opts Options) (*Skeleton, error) 
 		overhead: m.Base.Overhead,
 		ops:      make([]skelOp, 0, t.NumRecords()),
 	}
-	opts.Freqs, opts.RecordTimeline = nil, false
-	if _, err := replay(t, idx, m, &opts, s); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // recordCompute appends one burst of dur (capability stretch included) with
@@ -205,7 +213,8 @@ func fmax2(a, b float64) float64 {
 // a freshly allocated Result bit-identical to
 // Simulate(trace, platform, Options{Beta, FMax, Freqs: freqs, RecordTimeline:
 // recordTimeline}) for the trace/platform/β/FMax the skeleton was built
-// from. freqs may be nil (every rank at FMax). Safe for concurrent use.
+// from: Simulate answers such a call with this kernel over a fresh
+// recording. freqs may be nil (every rank at FMax). Safe for concurrent use.
 func (s *Skeleton) Retime(freqs []float64, recordTimeline bool) (*Result, error) {
 	return s.RetimeScaled(freqs, nil, recordTimeline)
 }
@@ -232,13 +241,13 @@ func (s *Skeleton) RetimeInto(res *Result, freqs []float64) error {
 // at a fraction of the cost (no trace copy, no re-validation, no fresh
 // replay). On a skeleton recorded on a machine with an Efficiency layer the
 // recorded durations already carry the stretch, so a burst of duration d
-// runs for (d·(1/e))·scale·slowdown: the same bits as Simulate on the
-// machine without its Efficiency layer, over the trace pre-stretched by
-// Machine.ScaleVector and then scaled. scale may be nil (no scaling);
-// entries must be finite and non-negative. This is what lets the online
-// rebalancing controller (internal/rebalance) simulate N drifting
-// iterations, and re-solve them, off a single skeleton. Safe for
-// concurrent use.
+// runs for ((d·(1/e))·scale)·slowdown, where SimulateMachine runs it for
+// (d·(1/e))·slowdown: the same bits as Simulate on the machine without its
+// Efficiency layer, over the trace pre-stretched by Machine.ScaleVector and
+// then scaled. scale may be nil (no scaling); entries must be finite and
+// non-negative. This is what lets the online rebalancing controller
+// (internal/rebalance) simulate N drifting iterations, and re-solve them,
+// off a single skeleton. Safe for concurrent use.
 func (s *Skeleton) RetimeScaled(freqs, scale []float64, recordTimeline bool) (*Result, error) {
 	if err := s.checkVectors(freqs, scale); err != nil {
 		return nil, err
@@ -334,8 +343,8 @@ func (s *Skeleton) prepare(freqs []float64) *retimeContext {
 		}
 		c.freq[r] = f
 		// Slowdown is deterministic per argument triple, so evaluating it
-		// once per rank yields the same bits Simulate gets evaluating it
-		// once per record.
+		// once per rank yields the same bits as evaluating it once per
+		// burst, as the reference engine does.
 		c.sd[r] = timemodel.Slowdown(s.beta, s.fmax, f)
 	}
 	return c
@@ -355,10 +364,11 @@ func (s *Skeleton) walk(c *retimeContext, scale []float64, ops []skelOp) {
 		switch op.kind {
 		case opCompute:
 			// Scaling multiplies the fmax duration first, then the slowdown
-			// — the exact association Simulate sees on a ScaleCompute'd
-			// trace, which keeps RetimeScaled bit-identical to it. A scale
-			// of 1 multiplies exactly, so nil and all-ones scales give the
-			// same bits (RetimeDelta's memo keys rely on it).
+			// — the association of a ScaleCompute'd trace, whose recording
+			// holds the scaled durations, so RetimeScaled has the bits of
+			// Simulate over that trace. A scale of 1 multiplies exactly, so
+			// nil and all-ones scales give the same bits (RetimeDelta's memo
+			// keys rely on it).
 			f1 := op.f1
 			if scale != nil {
 				f1 *= scale[r]
@@ -408,10 +418,11 @@ func (s *Skeleton) walk(c *retimeContext, scale []float64, ops []skelOp) {
 // a time and reads each op's completion back from the clock of the op's
 // rank. An op's interval on a rank starts where that rank's previous op
 // ended (0 before its first), so segment bookkeeping needs no arithmetic of
-// its own and appends exactly the segments Simulate records, in the same
-// per-rank order. Stepping op by op keeps that bookkeeping out of the walk
-// loop the non-recording tiers run: even a nil-guarded per-op store of
-// completions inside the loop slowed the WRF-128 power-cap sweep by ~11%.
+// its own and appends exactly the segments the reference engine records,
+// in the same per-rank order. Stepping op by op keeps that bookkeeping out
+// of the walk loop the non-recording tiers run: even a nil-guarded per-op
+// store of completions inside the loop slowed the WRF-128 power-cap sweep
+// by ~11%.
 func (s *Skeleton) timeline(c *retimeContext, scale []float64) [][]Segment {
 	segs := make([][]Segment, s.nranks)
 	last := make([]float64, s.nranks) // per rank: completion of its previous op
@@ -439,4 +450,17 @@ func (s *Skeleton) timeline(c *retimeContext, scale []float64) [][]Segment {
 		last[r] = end
 	}
 	return segs
+}
+
+// appendSeg appends one timeline interval, merging it with the previous
+// segment when contiguous and same state.
+func appendSeg(segs []Segment, start, end float64, st State) []Segment {
+	if end <= start {
+		return segs
+	}
+	if n := len(segs); n > 0 && segs[n-1].State == st && segs[n-1].End >= start-1e-15 {
+		segs[n-1].End = end
+		return segs
+	}
+	return append(segs, Segment{Start: start, End: end, State: st})
 }

@@ -82,7 +82,7 @@ func (s *Suite) HeteroCapabilitySweep(apps []string) ([]HeteroCapRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: hetero %s flat: %w", app, err)
 		}
-		balanced, err := s.replays.OriginalMachine(tr, m, opts)
+		balanced, err := s.replays.ReplayMachine(tr, m, opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: hetero %s balanced: %w", app, err)
 		}

@@ -160,7 +160,7 @@ func newSearcher(cfg Config, opts dimemas.Options) (*searcher, error) {
 		if err != nil {
 			return nil, stagerr.Wrap(stagerr.Validate, fmt.Errorf("gearopt: trace %d: %w", i, err))
 		}
-		res, err := cfg.Cache.OriginalMachine(tr, machine, opts)
+		res, err := cfg.Cache.ReplayMachine(tr, machine, opts)
 		if err != nil {
 			return nil, fmt.Errorf("gearopt: profiling trace %d: %w", i, err)
 		}

@@ -372,7 +372,7 @@ func run(cfg Config, newReplayer func(*Config, dimemas.Machine, dimemas.Options)
 	// of a cap sweep.
 	tlOpts := s.opts
 	tlOpts.RecordTimeline = true
-	base, err := cfg.Cache.OriginalMachine(cfg.Trace, s.machine, tlOpts)
+	base, err := cfg.Cache.ReplayMachine(cfg.Trace, s.machine, tlOpts)
 	if err != nil {
 		return nil, reclaimStats{}, fmt.Errorf("powercap: baseline replay: %w", err)
 	}
