@@ -339,7 +339,8 @@ func checkReplay(t *trace.Trace, m *Machine, opts *Options) (*traceIndex, error)
 // sk's schedule as it happens (see skeleton.go), so the skeleton's op order
 // is by construction the order this engine retires events in. At FMax every
 // DVFS slowdown is exactly 1, so a burst costs its (capability-stretched)
-// duration. A deadlock is reported under stage; ctx may be nil.
+// duration. A deadlock is reported under stage; ctx may be nil. The
+// Result is nil when recording: recording callers retime sk instead.
 func replay(ctx context.Context, t *trace.Trace, idx *traceIndex, m *Machine, sk *Skeleton, stage stagerr.Stage) (*Result, error) {
 	n := idx.nranks
 	c := ctxPool.Get().(*simContext)
@@ -374,6 +375,9 @@ func replay(ctx context.Context, t *trace.Trace, idx *traceIndex, m *Machine, sk
 		}
 	}
 
+	if sk != nil {
+		return nil, nil
+	}
 	res := &Result{
 		Compute: make([]float64, n),
 		Finish:  make([]float64, n),

@@ -103,3 +103,20 @@ func BenchmarkServerAnalyzeBatch(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkServerDecodeInline measures decode on the /v1/replay body of an
+// inline 3-iteration WRF-128 trace (about 70 KB, nearly all trace text),
+// declared with its length as HTTP clients send it.
+func BenchmarkServerDecodeInline(b *testing.B) {
+	body, _ := inlineBodies(b, inlineText(b, 1), 128)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var req ReplayRequest
+		r := httptest.NewRequest("POST", "/v1/replay", bytes.NewReader(body))
+		if err := decode(r, &req, maxBody); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

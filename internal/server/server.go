@@ -235,7 +235,7 @@ func endpoint[Req, Resp any](s *Server, route string, f func(context.Context, *R
 		defer cancel()
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		req := new(Req)
-		if err := decode(r, req); err != nil {
+		if err := decode(r, req, s.cfg.MaxBodyBytes); err != nil {
 			<-s.sem
 			finishErr(s, w, r, err)
 			return
@@ -342,21 +342,6 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 		Stage:     string(stage),
 		RequestID: requestID(r.Context()),
 	})
-}
-
-// decode strictly parses a JSON request body. It doubles as the handler-I/O
-// fault-injection point: a chaos run can make any request fail right at the
-// front door, before a slot-holding work goroutine exists.
-func decode(r *http.Request, v any) error {
-	if err := faults.Check(faults.HandlerIO); err != nil {
-		return stagerr.Wrap(stagerr.Serve, err)
-	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return stagerr.Errorf(stagerr.Parse, "body: %w", err)
-	}
-	return nil
 }
 
 // statusClientClosedRequest is nginx's non-standard code for a client that

@@ -14,7 +14,7 @@ import (
 func decodeFixture(t *testing.T, body string, v any) {
 	t.Helper()
 	r := httptest.NewRequest("POST", "/", strings.NewReader(body))
-	if err := decode(r, v); err != nil {
+	if err := decode(r, v, maxBody); err != nil {
 		t.Fatalf("fixture no longer decodes: %v\nbody: %s", err, body)
 	}
 }
